@@ -2,16 +2,18 @@
 
 The height vector h is the minimizer of the convex energy
 
-    E(h) = integral over the straight path from a base height of
-           sum_i w_i(eta) d(eta_i)  -  sum_i h_i nu_i,
+    E(h) = integral of max_i(<x, y_i> + h_i) dmu(x)  -  sum_i h_i nu_i,
 
-whose gradient is ``w(h) - nu`` (cell masses minus target weights) and
-whose Hessian couples adjacent cells through their shared facet mass over
-the distance between their targets. Minimizing E while keeping every cell
-mass positive (the admissible set) drives each cell mass to its target
-weight. Exact 2D mode uses Newton steps on the facet-mass Hessian with a
-damped line search; Monte Carlo mode falls back to safeguarded gradient
-descent on frozen samples.
+computed exactly in 2D from the first moments of the clipped cell polygons.
+Its gradient is ``w(h) - nu`` (cell masses minus target weights) and its
+Hessian couples adjacent cells through their shared facet mass over the
+distance between their targets. Minimizing E while keeping every cell mass
+positive (the admissible set) drives each cell mass to its target weight.
+A solve starts from scaled-Voronoi heights, which are admissible by
+construction, or from the caller's heights when those are admissible.
+Exact 2D mode uses Newton steps on the facet-mass Hessian with a damped
+line search; Monte Carlo mode falls back to safeguarded gradient descent on
+frozen samples.
 """
 from __future__ import annotations
 
@@ -35,16 +37,13 @@ from .potential import (
 EXACT_TOLERANCE = 1e-6
 MC_TOLERANCE = 5e-3
 
-# Relative slack when lifting empty cells into the admissible set.
-_BOOTSTRAP_SLACK = 1e-3
-
 
 class SolverError(RuntimeError):
     """Base class for solver failures."""
 
 
 class PathLeavesAdmissibleSetError(SolverError):
-    """A cell mass vanished along the energy integration path."""
+    """An energy endpoint has an empty cell."""
 
 
 class FacetMeasuresUnavailableError(SolverError):
@@ -52,7 +51,7 @@ class FacetMeasuresUnavailableError(SolverError):
 
 
 class InitialPointOutsideHError(SolverError):
-    """Initial heights leave empty cells even after the bootstrap pass."""
+    """Neither the given heights nor scaled-Voronoi heights fill every cell."""
 
 
 @dataclass
@@ -142,11 +141,18 @@ def hessian(stats: PowerCellStats, target: DiscreteTargetMeasure) -> np.ndarray:
 
 
 def _stats_fn_for(domain, target, config: SolverConfig):
-    """Build the per-mode cell-statistics evaluator h -> PowerCellStats."""
+    """Per-mode evaluators: h -> PowerCellStats, and (h, stats) -> F(h).
+
+    F(h) is the mean of the envelope u_h over the source: exact from the
+    clipped cells in 2D, the mean over the frozen samples in Monte Carlo
+    mode.
+    """
     if config.mode == "exact-2d":
         def stats_fn(h):
             return exact_cell_stats_2d(BrenierPotential(target, h), domain)
-        probe = _probe_grid(domain)
+
+        def envelope_fn(h, stats):
+            return _envelope_mean(stats, target.points, h)
     else:
         rng = np.random.default_rng([config.seed, 0x5d07])
         frozen = sample_source(domain, config.mc_samples, rng=rng)
@@ -154,106 +160,87 @@ def _stats_fn_for(domain, target, config: SolverConfig):
         def stats_fn(h):
             return mc_cell_stats_from_samples(BrenierPotential(target, h), frozen,
                                               adjacency_neighbors=0)
-        probe = frozen[:4096]
-    return stats_fn, probe
 
-
-def _probe_grid(domain, per_axis: int = 64) -> np.ndarray:
-    """Deterministic point grid inside the domain, used for deficit probes."""
-    bb = domain.bounding_box()
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in bb]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(bb))
-    inside = domain.contains(mesh)
-    return mesh[inside]
+        def envelope_fn(h, stats):
+            return float(BrenierPotential(target, h).evaluate(frozen).mean())
+    return stats_fn, envelope_fn
 
 
 def _voronoi_heights(domain, target) -> np.ndarray:
     """Heights whose diagram provably gives every cell positive mass.
 
-    Choosing h_i = -(alpha/2)|y_i|^2 - <beta, y_i> turns the power diagram
-    into the ordinary Voronoi diagram of the targets, shrunk by alpha and
-    recentered at beta. With alpha small enough that the shrunk target
-    cloud fits inside a ball contained in the domain, every Voronoi cell
-    (which always surrounds its own site) lands inside the domain.
+    With (beta, r) the domain's interior ball and alpha = 0.9 r / max|y_i -
+    beta|, the sites z_i = beta + alpha (y_i - beta) lie inside that ball.
+    The heights h_i = -(alpha/2)|y_i - beta|^2 - <beta, y_i - beta> equal
+    -|z_i|^2 / (2 alpha) up to a common constant, and turn the power
+    diagram into the ordinary Voronoi diagram of the z_i. Every Voronoi
+    cell surrounds its own site, so every cell has mass in the domain.
     """
     beta, r_in = domain.interior_ball()
-    pts = target.points
-    reach = float(np.linalg.norm(pts - beta, axis=1).max())
+    shifted = target.points - beta
+    reach = float(np.linalg.norm(shifted, axis=1).max())
     alpha = 0.9 * r_in / max(reach, 1e-12)
-    shifted = pts - beta
-    return -0.5 * alpha * np.sum(shifted * shifted, axis=1)
+    return -0.5 * alpha * np.sum(shifted * shifted, axis=1) - shifted @ beta
 
 
-def _bootstrap_admissible(h, domain, target, stats_fn, probe):
-    """Lift empty cells into the admissible set.
+def _admissible_start(h, domain, target, stats_fn):
+    """Heights h if every cell has mass there, else scaled-Voronoi heights.
 
-    One pass raises each empty cell's height by its deficit against the
-    envelope over the probe points, plus a small slack so the touching
-    plane gains positive area (documented heuristic). If simultaneous
-    raises still leave empty cells, fall back to scaled-Voronoi heights,
-    which are admissible by construction.
+    ``h=None`` goes straight to the Voronoi heights. Returns the heights
+    with their stats, or raises :class:`InitialPointOutsideHError`.
     """
-    h = np.array(h, dtype=float)
-    stats = stats_fn(h)
-    empty = stats.cell_measures <= 0.0
-    if not empty.any():
-        return h, stats
-
-    vals = probe @ target.points.T + h
-    env = vals.max(axis=1)
-    deficit = (vals - env[:, None]).max(axis=0)
-    scale = 1.0 + float(env.max() - env.min())
-    h[empty] += -deficit[empty] + _BOOTSTRAP_SLACK * scale
-    stats = stats_fn(h)
-    if not np.any(stats.cell_measures <= 0.0):
-        return h, stats
-
+    if h is not None:
+        h = np.array(h, dtype=float)
+        stats = stats_fn(h)
+        if np.all(stats.cell_measures > 0.0):
+            return h, stats
     h = _voronoi_heights(domain, target)
     stats = stats_fn(h)
     if np.any(stats.cell_measures <= 0.0):
         raise InitialPointOutsideHError(
-            "could not reach the admissible set from the initial heights")
+            "scaled-Voronoi heights leave an empty cell")
     return h, stats
 
 
-def energy(potential: BrenierPotential, domain, h_base=None,
-           quadrature_steps: int = 256, stats_fn=None) -> float:
-    """Convex energy at the potential's heights.
+def _envelope_mean(stats: PowerCellStats, points: np.ndarray, h) -> float:
+    """F(h): exact mean of u_h = max_i(<x, y_i> + h_i) over the 2D domain."""
+    total = 0.0
+    for i, verts in enumerate(stats.cells):
+        if len(verts) < 3:
+            continue
+        a, sx, sy, _, _ = _polygon_moments(verts)
+        total += points[i, 0] * sx + points[i, 1] * sy + h[i] * a
+    return total / stats.domain_area
 
-    The mass term is a line integral of the cell masses along the straight
-    path from ``h_base`` (default: zero heights, lifted into the admissible
-    set if needed). The admissible set is convex, so the path stays inside
-    it whenever both endpoints do; any vanishing cell mass along the way
-    raises :class:`PathLeavesAdmissibleSetError`. Path-independence of the
-    integral follows from the symmetry of the facet-mass Hessian.
+
+def energy(potential: BrenierPotential, domain, h_base=None) -> float:
+    """Convex energy F(h) - F(h_base) - <h, nu> at the potential's heights.
+
+    F(h) is the integral of the envelope u_h = max_i(<x, y_i> + h_i)
+    against the uniform source, computed exactly as
+    sum_i (<y_i, first moment of cell i> + h_i area_i) / domain area from
+    the clipped cell polygons. Its gradient is the cell masses, so the
+    energy's gradient is ``w(h) - nu``. The default ``h_base`` is zero
+    heights, or scaled-Voronoi heights if zero heights leave an empty cell.
+    Both endpoints must have every cell mass positive (the admissible set
+    is convex, so the segment between them then stays inside it);
+    otherwise :class:`PathLeavesAdmissibleSetError` is raised.
     """
     target = potential.target
-    if stats_fn is None:
-        def stats_fn(h):
-            return exact_cell_stats_2d(BrenierPotential(target, h), domain)
+    stats_fn, envelope_fn = _stats_fn_for(domain, target, SolverConfig())
     if h_base is None:
-        h_base = np.zeros(potential.n)
-        base_stats = stats_fn(h_base)
-        if np.any(base_stats.cell_measures <= 0.0):
-            h_base, _ = _bootstrap_admissible(h_base, domain, target, stats_fn,
-                                              _probe_grid(domain))
+        h_base, base_stats = _admissible_start(np.zeros(potential.n), domain,
+                                               target, stats_fn)
     else:
         h_base = np.asarray(h_base, dtype=float)
-
+        base_stats = stats_fn(h_base)
     h = potential.heights
-    delta = h - h_base
-    ts = np.linspace(0.0, 1.0, quadrature_steps + 1)
-    coeff = np.full(quadrature_steps + 1, 1.0 / quadrature_steps)
-    coeff[0] = coeff[-1] = 0.5 / quadrature_steps
-
-    mass_term = 0.0
-    for t, c in zip(ts, coeff):
-        stats = stats_fn(h_base + t * delta)
-        if np.any(stats.cell_measures <= 0.0):
-            raise PathLeavesAdmissibleSetError(
-                f"cell mass vanished at path parameter t={t:g}")
-        mass_term += c * float(stats.cell_measures @ delta)
-    return mass_term - float(h @ target.weights)
+    stats = stats_fn(h)
+    for name, s in (("h_base", base_stats), ("h", stats)):
+        if np.any(s.cell_measures <= 0.0):
+            raise PathLeavesAdmissibleSetError(f"a cell mass vanishes at {name}")
+    return (envelope_fn(h, stats) - envelope_fn(h_base, base_stats)
+            - float(h @ target.weights))
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -275,67 +262,51 @@ def solve(domain, target: DiscreteTargetMeasure, config: SolverConfig | None = N
     Exact 2D mode performs damped Newton steps on the facet-mass Hessian;
     Monte Carlo mode descends along the negative gradient. Either way the
     step is halved until all cells keep positive mass and the max-norm
-    residual decreases. The reported heights are gauge-normalized so the
-    smallest is zero.
+    residual decreases. The start is ``h_init`` when every cell has mass
+    there, else scaled-Voronoi heights. The reported heights are
+    gauge-normalized so the smallest is zero.
     """
     config = config or SolverConfig()
     if config.mode == "exact-2d" and domain.dimension != 2:
         raise DimensionUnsupportedError("exact-2d mode requires a 2D domain")
     tol = config.resolved_tolerance
-    stats_fn, probe = _stats_fn_for(domain, target, config)
-
-    h = np.zeros(target.n) if h_init is None else np.array(h_init, dtype=float)
-    stats = stats_fn(h)
-    if np.any(stats.cell_measures <= 0.0):
-        h, stats = _bootstrap_admissible(h, domain, target, stats_fn, probe)
+    stats_fn, envelope_fn = _stats_fn_for(domain, target, config)
+    h, stats = _admissible_start(h_init, domain, target, stats_fn)
+    h0, f0 = h, envelope_fn(h, stats)
 
     nu = target.weights
     g = stats.cell_measures - nu
     residual = float(np.abs(g).max())
-    residuals = [residual]
-    energies = [0.0]  # path-integral estimate relative to the first iterate
-    report = SolveReport(heights=h, iterations=0, residual_history=residuals,
-                         energy_history=energies, mode=config.mode)
+    report = SolveReport(heights=h, iterations=0, residual_history=[residual],
+                         energy_history=[0.0], mode=config.mode)
 
-    for iteration in range(config.max_iterations):
-        if residual <= tol:
-            report.converged = True
-            break
+    while residual > tol and report.iterations < config.max_iterations:
         if config.mode == "exact-2d":
             direction = _newton_direction(hessian(stats, target), g)
         else:
             direction = -g
 
         lam = 1.0
-        accepted = False
         while lam >= config.min_step:
             h_try = h + lam * direction
             stats_try = stats_fn(h_try)
             g_try = stats_try.cell_measures - nu
             res_try = float(np.abs(g_try).max())
             if np.all(stats_try.cell_measures > 0.0) and res_try < residual:
-                accepted = True
                 break
             lam *= config.damping
-        if not accepted:
+        else:
             report.step_underflow = True
             break
 
-        # two-point path-integral update of the energy diagnostic
-        step = h_try - h
-        d_energy = 0.5 * float((stats.cell_measures + stats_try.cell_measures) @ step)
-        d_energy -= float(nu @ step)
-        energies.append(energies[-1] + d_energy)
-
         h, stats, g, residual = h_try, stats_try, g_try, res_try
-        residuals.append(residual)
-        report.iterations = iteration + 1
-    else:
-        report.hit_max_iterations = residual > tol
-        report.converged = residual <= tol
+        report.residual_history.append(residual)
+        report.energy_history.append(
+            envelope_fn(h, stats) - f0 - float(nu @ (h - h0)))
+        report.iterations += 1
 
-    if residual <= tol:
-        report.converged = True
+    report.converged = residual <= tol
+    report.hit_max_iterations = not (report.converged or report.step_underflow)
     report.heights = h - h.min()
     return report
 

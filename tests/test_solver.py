@@ -45,31 +45,38 @@ class TestEnergy:
         target = sdot.validate_target([(0.0, 0.0)], [1.0])
         for h in (0.0, 1.3, -2.0):
             pot = BrenierPotential(target, np.array([h]))
-            assert energy(pot, unit_square, quadrature_steps=8) == pytest.approx(0.0, abs=1e-12)
+            assert energy(pot, unit_square) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_minimum(self, unit_square, two_point_target):
         e0 = energy(BrenierPotential(two_point_target, np.zeros(2)), unit_square)
         e1 = energy(BrenierPotential(two_point_target, np.array([0.1, -0.1])), unit_square)
         assert e1 > e0
+        # moving the bisector to x = -d costs exactly d^2 / 2
+        assert e0 == pytest.approx(0.0, abs=1e-15)
+        assert e1 == pytest.approx(0.02, abs=1e-15)
+        for d in (-0.45, -0.2, 0.1, 0.3, 0.49):
+            e = energy(BrenierPotential(two_point_target, np.array([0.0, d])), unit_square)
+            assert e == pytest.approx(0.5 * d * d, abs=1e-15)
 
-    def test_path_leaving_admissible_set(self, unit_square, two_point_target):
+    @pytest.mark.parametrize("emptied", ["h", "h_base"])
+    def test_path_leaving_admissible_set(self, unit_square, two_point_target, emptied):
         # raising one plane far above the other empties a cell
-        pot = BrenierPotential(two_point_target, np.array([0.0, 10.0]))
+        empty, full = np.array([0.0, 10.0]), np.zeros(2)
+        h, h_base = (empty, full) if emptied == "h" else (full, empty)
+        pot = BrenierPotential(two_point_target, h)
         with pytest.raises(PathLeavesAdmissibleSetError):
-            energy(pot, unit_square, quadrature_steps=16)
+            energy(pot, unit_square, h_base=h_base)
 
     def test_convexity_along_segments(self, big_square, small_instance):
         target, h_star = small_instance
         rng = np.random.default_rng(77)
         h1, _ = admissible_perturbation(target, h_star, big_square, rng, 0.05)
         h2, _ = admissible_perturbation(target, h_star, big_square, rng, 0.05)
-        e1 = energy(BrenierPotential(target, h1), big_square, h_base=h_star,
-                    quadrature_steps=256)
-        e2 = energy(BrenierPotential(target, h2), big_square, h_base=h_star,
-                    quadrature_steps=256)
+        e1 = energy(BrenierPotential(target, h1), big_square, h_base=h_star)
+        e2 = energy(BrenierPotential(target, h2), big_square, h_base=h_star)
         for t in (0.25, 0.5, 0.75):
             mid = energy(BrenierPotential(target, t * h1 + (1 - t) * h2), big_square,
-                         h_base=h_star, quadrature_steps=256)
+                         h_base=h_star)
             assert mid <= t * e1 + (1 - t) * e2 + 1e-7
 
 
@@ -97,10 +104,8 @@ class TestGradient:
         for i in range(len(h)):
             hp = h.copy(); hp[i] += delta
             hm = h.copy(); hm[i] -= delta
-            ep = energy(BrenierPotential(target, hp), big_square, h_base=h_star,
-                        quadrature_steps=64)
-            em = energy(BrenierPotential(target, hm), big_square, h_base=h_star,
-                        quadrature_steps=64)
+            ep = energy(BrenierPotential(target, hp), big_square, h_base=h_star)
+            em = energy(BrenierPotential(target, hm), big_square, h_base=h_star)
             fd[i] = (ep - em) / (2 * delta)
         assert np.abs(fd - g).max() <= 1e-5 * max(1.0, np.abs(g).max())
 
@@ -191,6 +196,21 @@ class TestSolve:
         r2 = solve(big_square, target, config, h_init=rng.standard_normal(10))
         assert r1.converged and r2.converged
         assert np.abs(r1.heights - r2.heights).max() <= 1e-5
+
+    @pytest.mark.parametrize("domain", [
+        sdot.box_domain([[0.0, 1.0], [0.0, 1.0]]),
+        sdot.box_domain([[2.0, 4.0], [2.0, 4.0]]),
+        sdot.disk_domain([3.0, -2.0], 1.0),
+        sdot.polygon_domain([(4.0, 1.0), (6.0, 2.0), (5.0, 4.0), (3.5, 3.0)]),
+    ], ids=["box01", "box24", "disk", "polygon"])
+    def test_off_centre_domain(self, domain):
+        # the Voronoi start must sit in the domain, not around the origin
+        rng = np.random.default_rng(17)
+        bb = domain.bounding_box()
+        pts = rng.uniform(bb[:, 0], bb[:, 1], size=(30, 2))
+        report = solve(domain, sdot.validate_target(pts))
+        assert report.converged
+        assert report.final_residual <= 1e-6
 
     def test_max_iterations_flag(self, big_square, grid25_target):
         config = SolverConfig(max_iterations=1)
