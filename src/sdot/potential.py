@@ -7,7 +7,13 @@ the source domain is a power diagram. Cell masses and facet masses are
 computed exactly in 2D by half-plane clipping, and by Monte Carlo counting
 in any dimension. The Legendre dual of the potential is built from the 3D
 lower convex hull of the lifted points ``(y_i, -h_i)``; its projection is
-the weighted Delaunay triangulation.
+the weighted Delaunay (regular) triangulation.
+
+The exact 2D statistics use that triangulation too: each cell is clipped
+only against its triangulation neighbours, nearest first, and facets are
+sought only among neighbour pairs. When there is no 3D hull (n <= 3,
+collinear targets, coplanar lifted points), and for any target qhull leaves
+off the lower hull, a cell is clipped against every other target instead.
 """
 from __future__ import annotations
 
@@ -200,9 +206,9 @@ def _cell_vertices(base_verts: np.ndarray, points: np.ndarray, heights: np.ndarr
     """Clip the domain polygon down to power cell i.
 
     Cell i keeps the side <x, y_i - y_j> >= h_j - h_i of every bisector, so
-    each clip removes the half-plane <x, y_j - y_i> > h_i - h_j. Neighbors
-    are visited nearest first, which lets most far constraints be skipped by
-    a cheap redundancy test.
+    each clip removes the half-plane <x, y_j - y_i> > h_i - h_j. Only the
+    targets in ``order`` are visited, in that order; a constraint that every
+    current vertex already satisfies is skipped without clipping.
     """
     verts = base_verts
     yi, hi = points[i], heights[i]
@@ -231,6 +237,16 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     mass of an adjacent pair is the shared edge length over the domain area
     (uniform density). Disks are replaced by their inscribed regular
     polygon, whose area is the normalizer.
+
+    A power cell is bounded only by the bisectors of its neighbours in the
+    regular triangulation: the edges of the lower hull of the lifted points
+    (y_i, -h_i). One qhull pass gives each target its neighbours; its cell
+    is clipped against those, nearest first, and facets are sought only
+    among neighbour pairs. Every other target is the candidate list instead,
+    nearest first, for a target that qhull leaves off the lower hull, and
+    for all targets when there is no 3D hull (n <= 3, collinear targets or
+    coplanar lifted points). Such a target, if its cell is not empty, is
+    also paired with every other target in the facet search.
     """
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
@@ -252,40 +268,63 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
         return PowerCellStats(w, np.zeros((0, 2), dtype=np.int64), np.zeros(0),
                               np.zeros((0, 2, 2)), cells, area_domain, True)
 
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    triangles = _lower_facets(points, heights)
+    on_hull = np.zeros(n, dtype=bool)
+    if triangles is None:
+        edges = np.zeros((0, 2), dtype=np.int64)
+    else:
+        edges = _triangle_edges(triangles)
+        on_hull[triangles.ravel()] = True
+    # neighbour lists: grouped by target, then by distance, then by index
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    gap2 = np.sum((points[src] - points[dst]) ** 2, axis=1)
+    order = np.lexsort((dst, gap2, src))
+    dst = dst[order]
+    bounds = np.searchsorted(src[order], np.arange(n + 1))
     for i in range(n):
-        order = np.argsort(d2[i], kind="stable")
-        verts = _cell_vertices(base_verts, points, heights, i, order[order != i])
+        if on_hull[i]:
+            candidates = dst[bounds[i]:bounds[i + 1]]
+        else:
+            d2 = np.sum((points - points[i]) ** 2, axis=1)
+            candidates = np.argsort(d2, kind="stable")
+            candidates = candidates[candidates != i]
+        verts = _cell_vertices(base_verts, points, heights, i, candidates)
         cells.append(verts)
         w[i] = _area(verts) / area_domain
+
+    live_off = [k for k in np.flatnonzero(~on_hull) if len(cells[k])]
+    if live_off:
+        k = np.repeat(live_off, n)
+        j = np.tile(np.arange(n), len(live_off))
+        extra = np.sort(np.column_stack([k, j])[k != j], axis=1)
+        edges = np.unique(np.vstack([edges, extra]), axis=0)
+    gap2 = np.sum((points[edges[:, 0]] - points[edges[:, 1]]) ** 2, axis=1)
 
     pairs = []
     measures = []
     segments = []
-    for i in range(n):
+    for (i, j), g2 in zip(edges, gap2):
         verts = cells[i]
-        if len(verts) == 0:
+        if len(verts) == 0 or len(cells[j]) == 0:
             continue
-        for j in range(i + 1, n):
-            if len(cells[j]) == 0:
-                continue
-            u = points[i] - points[j]
-            c = heights[j] - heights[i]
-            norm_u = np.sqrt(d2[i, j])
-            # signed distance of cell-i vertices to the bisector line
-            dist = (verts @ u - c) / norm_u
-            on_line = np.abs(dist) <= len_tol
-            if np.count_nonzero(on_line) < 2:
-                continue
-            pts_on = verts[on_line]
-            spread = pts_on @ np.array([-u[1], u[0]]) / norm_u
-            length = float(spread.max() - spread.min())
-            if length <= len_tol:
-                continue
-            lo, hi = np.argmin(spread), np.argmax(spread)
-            pairs.append((i, j))
-            measures.append(length / area_domain)
-            segments.append((pts_on[lo], pts_on[hi]))
+        u = points[i] - points[j]
+        c = heights[j] - heights[i]
+        norm_u = np.sqrt(g2)
+        # signed distance of cell-i vertices to the bisector line
+        dist = (verts @ u - c) / norm_u
+        on_line = np.abs(dist) <= len_tol
+        if np.count_nonzero(on_line) < 2:
+            continue
+        pts_on = verts[on_line]
+        spread = pts_on @ np.array([-u[1], u[0]]) / norm_u
+        length = float(spread.max() - spread.min())
+        if length <= len_tol:
+            continue
+        lo, hi = np.argmin(spread), np.argmax(spread)
+        pairs.append((i, j))
+        measures.append(length / area_domain)
+        segments.append((pts_on[lo], pts_on[hi]))
 
     facet_pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     facet_measures = np.asarray(measures, dtype=float)
@@ -392,49 +431,37 @@ def _facet_chord_length(points, heights, i, j, domain_verts) -> float:
     p0 = (c / nrm2) * u
     direction = np.array([-u[1], u[0]]) / np.sqrt(nrm2)
 
-    lo, hi = -np.inf, np.inf
-    n = len(points)
-    for k in range(n):
-        if k == i or k == j:
-            continue
-        a = points[i] - points[k]
-        b = heights[k] - heights[i]
-        s = float(direction @ a)
-        r = b - float(p0 @ a)
-        if abs(s) <= 1e-15:
-            if r > 0:
-                return 0.0
-            continue
-        t = r / s
-        if s > 0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-        if lo >= hi:
-            return 0.0
-    m = len(domain_verts)
-    for k in range(m):
-        v, w_ = domain_verts[k], domain_verts[(k + 1) % m]
-        edge = w_ - v
-        # inward side of a CCW domain edge: cross(edge, x - v) >= 0,
-        # i.e. <a, p0 + t*dir - v> >= 0  ->  t*s >= <a, v - p0>
-        a = np.array([-edge[1], edge[0]])
-        s = float(direction @ a)
-        rhs = float(a @ (v - p0))
-        if abs(s) <= 1e-15:
-            if rhs > 0:
-                return 0.0
-            continue
-        t = rhs / s
-        if s > 0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-        if lo >= hi:
-            return 0.0
-    if not np.isfinite(lo) or not np.isfinite(hi):
+    # each constraint reads t*s >= r on the line p0 + t*direction
+    others = np.ones(len(points), dtype=bool)
+    others[[i, j]] = False
+    a = points[i] - points[others]
+    r_pts = (heights[others] - heights[i]) - _row_dots(a, p0)
+    # inward side of a CCW domain edge: cross(edge, x - v) >= 0,
+    # i.e. <a, p0 + t*dir - v> >= 0  ->  t*s >= <a, v - p0>
+    edge = np.roll(domain_verts, -1, axis=0) - domain_verts
+    a_dom = np.column_stack([-edge[:, 1], edge[:, 0]])
+    s = np.concatenate([_row_dots(a, direction), _row_dots(a_dom, direction)])
+    r = np.concatenate([r_pts, _row_dots(a_dom, domain_verts - p0)])
+
+    parallel = np.abs(s) <= 1e-15
+    if np.any(r[parallel] > 0):
+        return 0.0
+    s, r = s[~parallel], r[~parallel]
+    t = r / s
+    lo = t[s > 0].max(initial=-np.inf)
+    hi = t[s < 0].min(initial=np.inf)
+    if lo >= hi or not np.isfinite(lo) or not np.isfinite(hi):
         return 0.0
     return float(hi - lo)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (m, 2) ``a`` with ``b`` of shape (2,) or (m, 2).
+
+    Stacked vector-vector matmul runs the same dot kernel as a 1-D
+    ``a[k] @ b[k]``, so each row is bit-identical to that scalar product.
+    """
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
 def _collinear_direction(points: np.ndarray):
@@ -452,6 +479,35 @@ def _collinear_direction(points: np.ndarray):
     return None
 
 
+def _lower_facets(points: np.ndarray, heights: np.ndarray):
+    """Lower facets of the lifted targets' hull as (k, 3) target triples.
+
+    Each target lifts to (y_i, -h_i); a facet is lower when its outward
+    normal points down. The facets project to the triangles of the regular
+    (weighted Delaunay) triangulation. Returns None when there is no 3D
+    hull: fewer than four targets, collinear (or coincident) targets, or
+    coplanar lifted points.
+    """
+    try:
+        if len(points) <= 3 or _collinear_direction(points) is not None:
+            return None
+    except DegenerateHullError:
+        return None
+    lifted = np.column_stack([points, -heights])
+    try:
+        hull = ConvexHull(lifted)
+    except QhullError:
+        return None
+    return hull.simplices[hull.equations[:, 2] < -1e-12].astype(np.int64)
+
+
+def _triangle_edges(triangles: np.ndarray) -> np.ndarray:
+    """Sorted unique edges (i < j) of a triangle list."""
+    sides = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                            triangles[:, [0, 2]]])
+    return np.unique(np.sort(sides, axis=1), axis=0)
+
+
 def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
     u = _collinear_direction(points)
     if u is not None:
@@ -462,10 +518,8 @@ def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
                           for k in range(len(order) - 1)], dtype=np.int64)
         return edges, order.astype(np.int64)
 
-    lifted = np.column_stack([points, -heights])
-    try:
-        hull = ConvexHull(lifted)
-    except QhullError:
+    triangles = _lower_facets(points, heights)
+    if triangles is None:
         # lifted points coplanar: the dual is linear, only the planar hull
         # boundary of the targets carries cells
         from .geometry import convex_hull_2d
@@ -480,17 +534,6 @@ def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
         return (np.asarray(sorted(edges), dtype=np.int64),
                 np.asarray(sorted(set(ring_idx)), dtype=np.int64))
 
-    lower = hull.equations[:, 2] < -1e-12
-    edge_set = set()
-    members = set()
-    for simplex, is_lower in zip(hull.simplices, lower):
-        if not is_lower:
-            continue
-        a, b, c = (int(v) for v in simplex)
-        members.update((a, b, c))
-        edge_set.update({tuple(sorted((a, b))), tuple(sorted((b, c))),
-                         tuple(sorted((a, c)))})
-    if not edge_set:
+    if not len(triangles):
         raise GeometryError("no lower hull facets found")
-    edges = np.asarray(sorted(edge_set), dtype=np.int64)
-    return edges, np.asarray(sorted(members), dtype=np.int64)
+    return _triangle_edges(triangles), np.unique(triangles)

@@ -30,6 +30,7 @@ from .geometry import (
 from .potential import (
     BrenierPotential,
     PowerCellStats,
+    _row_dots,
     exact_cell_stats_2d,
     mc_cell_stats_from_samples,
 )
@@ -129,14 +130,14 @@ def hessian(stats: PowerCellStats, target: DiscreteTargetMeasure) -> np.ndarray:
             "facet masses are only available in exact 2D mode")
     n = stats.n
     H = np.zeros((n, n))
-    pts = target.points
-    for (i, j), s in zip(stats.facet_pairs, stats.facet_measures):
-        gap = float(np.linalg.norm(pts[i] - pts[j]))
-        v = s / gap
-        H[i, j] -= v
-        H[j, i] -= v
-        H[i, i] += v
-        H[j, j] += v
+    i, j = stats.facet_pairs.T
+    diff = target.points[i] - target.points[j]
+    v = stats.facet_measures / np.sqrt(_row_dots(diff, diff))
+    H[i, j] -= v
+    H[j, i] -= v
+    # diagonals accumulate facet by facet, i before j, as a per-facet loop would
+    ends = stats.facet_pairs.ravel()
+    np.add.at(H, (ends, ends), np.repeat(v, 2))
     return H
 
 
