@@ -85,8 +85,7 @@ class ConvexPolygon:
         if self.is_empty:
             return np.zeros(len(pts), dtype=bool)
         verts = self.vertices
-        nxt = np.roll(verts, -1, axis=0)
-        edge = nxt - verts
+        edge = _cycled(verts) - verts
         # cross((v2-v1), (p-v1)) >= 0 for all edges of a CCW convex polygon
         rel = pts[:, None, :] - verts[None, :, :]
         cross = edge[None, :, 0] * rel[:, :, 1] - edge[None, :, 1] * rel[:, :, 0]
@@ -96,12 +95,14 @@ class ConvexPolygon:
 
 def _edge_crosses(verts: np.ndarray) -> np.ndarray:
     """Cross products of consecutive edge pairs of a closed polygon."""
-    e = np.roll(verts, -1, axis=0) - verts
-    e_next = np.roll(e, -1, axis=0)
+    e = _cycled(verts) - verts
+    e_next = _cycled(e)
     return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
 
 
-_EMPTY_VERTS = np.zeros((0, 2))
+def _cycled(x: np.ndarray) -> np.ndarray:
+    """``x`` shifted one place back along axis 0, cyclically: row k holds x[k + 1]."""
+    return np.concatenate((x[1:], x[:1]))
 
 
 def polygon_area(poly) -> float:
@@ -114,7 +115,7 @@ def _area(verts: np.ndarray) -> float:
     if len(verts) < 3:
         return 0.0
     x, y = verts[:, 0], verts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _cycled(x), _cycled(y)
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
@@ -127,7 +128,7 @@ def polygon_centroid(poly) -> np.ndarray:
     if abs(a) < 1e-300 or len(verts) < 3:
         return verts.mean(axis=0)
     x, y = verts[:, 0], verts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _cycled(x), _cycled(y)
     cross = x * yn - xn * y
     cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
     cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
@@ -139,55 +140,142 @@ def segment_length(p, q) -> float:
     return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
 
 
-def _clip_vertices(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Clip a convex CCW vertex array against the half-plane <a,x> <= b."""
-    m = len(verts)
-    if m == 0:
-        return _EMPTY_VERTS
-    s = verts @ a - b
-    if np.all(s <= 0.0):
-        return verts
-    if np.all(s >= 0.0):
-        # boundary-only contact collapses to a zero-area polygon
-        return _EMPTY_VERTS
-    out = []
-    for k in range(m):
-        p, q = verts[k], verts[(k + 1) % m]
-        sp, sq = s[k], s[(k + 1) % m]
-        if sp <= 0.0:
-            out.append(p)
-            if sq > 0.0:
-                t = sp / (sp - sq)
-                out.append(p + t * (q - p))
-        elif sq <= 0.0:
-            t = sp / (sp - sq)
-            out.append(p + t * (q - p))
-    if len(out) < 3:
-        return _EMPTY_VERTS
-    cleaned = _dedupe_ring(np.asarray(out))
-    if len(cleaned) < 3:
-        return _EMPTY_VERTS
-    return cleaned
+def clip_cells(base_verts, points, heights, candidates) -> tuple:
+    """Clip the polygon ``base_verts`` down to one power cell per candidate row.
+
+    Row i is the cell of site i: it keeps the half-plane
+    ``<x, y_j - y_i> <= h_i - h_j`` of each candidate j in ``candidates[i]``,
+    visited in column order up to the first -1, which pads the end of a
+    row. All rows start from the base polygon and are held together as one
+    zero-padded (rows, M, 2) array with per-row vertex counts. Round r clips
+    every live row against its r-th candidate; a row leaves the batch when
+    its candidates run out or its cell becomes empty, so later rounds touch
+    only the rows still running.
+
+    With s = <v, y_j - y_i> - (h_i - h_j) at each vertex v, one clip skips
+    the constraint when every s <= 0 and empties the cell when every
+    s >= 0 (boundary-only contact has no area). Otherwise it keeps the
+    vertices with s <= 0 plus the crossing p + t(q - p), t = sp/(sp - sq),
+    of every edge pq whose ends lie on opposite sides, drops vertices within
+    DEGENERACY_TOL * (1 + largest coordinate magnitude) of their cyclic
+    predecessor, and treats fewer than 3 vertices as empty.
+
+    Returns the zero-padded (rows, W, 2) vertex array and the (rows,)
+    vertex counts; an empty cell has count 0.
+    """
+    base = np.asarray(base_verts, dtype=float).reshape(-1, 2)
+    candidates = np.asarray(candidates, dtype=np.int64)
+    rows = len(candidates)
+    ids = np.arange(rows)
+    verts = np.repeat(base[None], rows, axis=0)
+    counts = np.full(rows, len(base))
+    finished = []
+    for r in range(candidates.shape[1]):
+        j = candidates[ids, r]
+        ends = j < 0
+        if ends.any():
+            finished.append((ids[ends], verts[ends], counts[ends]))
+            ids, verts, counts, j = ids[~ends], verts[~ends], counts[~ends], j[~ends]
+        if not len(ids):
+            break
+        a = points[j] - points[ids]
+        b = heights[ids] - heights[j]
+        s = (verts @ a[:, :, None])[:, :, 0] - b[:, None]
+        live = np.arange(verts.shape[1]) < counts[:, None]
+        # rows with every s <= 0 skip; cut rows with every s >= 0 are empty
+        cut = ((s > 0.0) & live).any(axis=1)
+        if not cut.any():
+            continue
+        mixed = cut & ((s < 0.0) & live).any(axis=1)
+        if mixed.any():
+            clipped, clipped_counts = _clip_rows(verts[mixed], counts[mixed], s[mixed])
+            width = clipped.shape[1]
+            if width > verts.shape[1]:
+                pad = np.zeros((len(verts), width - verts.shape[1], 2))
+                verts = np.concatenate((verts, pad), axis=1)
+            verts[mixed, :width] = clipped
+            verts[mixed, width:] = 0.0
+            counts[mixed] = clipped_counts
+        counts[cut & ~mixed] = 0
+        keep = counts > 0
+        ids, counts = ids[keep], counts[keep]
+        verts = verts[keep, :counts.max(initial=0)]
+    finished.append((ids, verts, counts))
+
+    counts = np.zeros(rows, dtype=np.int64)
+    for done, _, c in finished:
+        counts[done] = c
+    out = np.zeros((rows, counts.max(initial=0), 2))
+    for done, v, _ in finished:
+        width = min(v.shape[1], out.shape[1])
+        out[done, :width] = v[:, :width]
+    return out, counts
 
 
-def _dedupe_ring(verts: np.ndarray) -> np.ndarray:
-    """Drop consecutive (cyclically) duplicate vertices."""
-    scale = 1.0 + np.abs(verts).max()
-    diff = verts - np.roll(verts, 1, axis=0)
-    keep = np.abs(diff).max(axis=1) > DEGENERACY_TOL * scale
-    if keep.all():
-        return verts
-    return verts[keep]
+def _clip_rows(verts, counts, s):
+    """One clip of each padded row at the sign changes of its ``s`` values.
+
+    Returns the clipped rows and their counts, 0 for a collapsed cell.
+    """
+    live = np.arange(verts.shape[1]) < counts[:, None]
+    keep = (s <= 0.0) & live
+    cross = (keep != (_ring_next(s, counts) <= 0.0)) & live
+    # each edge emits its start vertex if kept, then its crossing if any;
+    # ``end`` is the slot after an edge's output
+    end = np.cumsum(keep.astype(np.int64) + cross, axis=1)
+    ring = np.zeros((len(verts), end[:, -1].max(), 2))
+    r, k = np.nonzero(keep)
+    ring[r, end[r, k] - 1 - cross[r, k]] = verts[r, k]
+    r, k = np.nonzero(cross)
+    k_next = np.where(k + 1 < counts[r], k + 1, 0)
+    sp, sq = s[r, k], s[r, k_next]
+    p, q = verts[r, k], verts[r, k_next]
+    t = sp / (sp - sq)
+    ring[r, end[r, k] - 1] = p + t[:, None] * (q - p)
+    counts = end[:, -1]
+
+    # drop cyclically consecutive duplicates; padding zeros leave the max as is
+    scale = 1.0 + np.abs(ring).max(axis=(1, 2))
+    step = np.abs(ring - _ring_prev(ring, counts)).max(axis=2)
+    live = np.arange(ring.shape[1]) < counts[:, None]
+    ring, counts = _pack(ring, live & (step > DEGENERACY_TOL * scale[:, None]))
+    counts[counts < 3] = 0
+    return ring, counts
+
+
+def _ring_next(x, counts):
+    """Row-wise cyclic successor x[:, (k + 1) % count]: a slice shift, wrap fixed per row."""
+    out = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+    out[np.arange(len(x)), counts - 1] = x[:, 0]
+    return out
+
+
+def _ring_prev(x, counts):
+    """Row-wise cyclic predecessor x[:, (k - 1) % count]."""
+    out = np.concatenate((x[:, -1:], x[:, :-1]), axis=1)
+    out[:, 0] = x[np.arange(len(x)), counts - 1]
+    return out
+
+
+def _pack(values, keep):
+    """Move each row's kept (row, slot) entries to its front, in order, zero-padded."""
+    counts = np.count_nonzero(keep, axis=1)
+    out = np.zeros((len(values), counts.max(initial=0), 2))
+    r, k = np.nonzero(keep)
+    out[r, np.cumsum(keep, axis=1)[r, k] - 1] = values[r, k]
+    return out, counts
 
 
 def clip_halfplane(poly: ConvexPolygon, a, b: float) -> ConvexPolygon:
     """Intersect ``poly`` with the half-plane {x : <a,x> <= b}.
 
     Returns a convex CCW polygon; the empty polygon when the intersection
-    has no interior.
+    has no interior. It is a one-row :func:`clip_cells` call: site 0 at the
+    origin with height ``b`` and one candidate, site 1 at ``a`` with height 0.
     """
-    a = np.asarray(a, dtype=float)
-    return ConvexPolygon(_clip_vertices(poly.vertices, a, float(b)))
+    points = np.array([[0.0, 0.0], np.asarray(a, dtype=float)])
+    verts, counts = clip_cells(poly.vertices, points, np.array([float(b), 0.0]), [[1]])
+    return ConvexPolygon(verts[0, :counts[0]])
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:

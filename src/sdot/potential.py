@@ -14,6 +14,10 @@ only against its triangulation neighbours, nearest first, and facets are
 sought only among neighbour pairs. When there is no 3D hull (n <= 3,
 collinear targets, coplanar lifted points), and for any target qhull leaves
 off the lower hull, a cell is clipped against every other target instead.
+The clipping order is one (n, K) candidate matrix, padded with -1, and all
+cells are clipped together by ``geometry.clip_cells``: round r clips every
+cell still running against its r-th candidate. The facet search then tests
+every candidate pair against the padded cells in one vectorised pass.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .geometry import (
     DiscreteTargetMeasure,
     GeometryError,
     _area,
-    _clip_vertices,
+    clip_cells,
     sample_source,
 )
 
@@ -201,34 +205,6 @@ class DualTriangulation:
         return {(int(i), int(j)) for i, j in self.edges}
 
 
-def _cell_vertices(base_verts: np.ndarray, points: np.ndarray, heights: np.ndarray,
-                   i: int, order: np.ndarray) -> np.ndarray:
-    """Clip the domain polygon down to power cell i.
-
-    Cell i keeps the side <x, y_i - y_j> >= h_j - h_i of every bisector, so
-    each clip removes the half-plane <x, y_j - y_i> > h_i - h_j. Only the
-    targets in ``order`` are visited, in that order; a constraint that every
-    current vertex already satisfies is skipped without clipping.
-    """
-    verts = base_verts
-    yi, hi = points[i], heights[i]
-    for j in order:
-        a = points[j] - yi
-        b = hi - heights[j]
-        s = verts @ a - b
-        if np.all(s <= 0.0):
-            continue
-        if np.all(s >= 0.0):
-            return _EMPTY
-        verts = _clip_vertices(verts, a, b)
-        if len(verts) == 0:
-            return _EMPTY
-    return verts
-
-
-_EMPTY = np.zeros((0, 2))
-
-
 def exact_cell_stats_2d(potential: BrenierPotential, domain,
                         adjacency_tol: float = ADJACENCY_TOL) -> PowerCellStats:
     """Exact power-diagram statistics on a 2D domain.
@@ -247,11 +223,16 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     for all targets when there is no 3D hull (n <= 3, collinear targets or
     coplanar lifted points). Such a target, if its cell is not empty, is
     also paired with every other target in the facet search.
+
+    The candidate lists form one (n, K) matrix padded with -1, and
+    :func:`~sdot.geometry.clip_cells` clips all cells together, one round
+    per neighbour rank; a cell leaves the batch when its list ends or it
+    becomes empty. The facet search tests all candidate pairs at once on
+    the padded cells.
     """
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
-    base = domain.clip_polygon()
-    base_verts = base.vertices
+    base_verts = domain.clip_polygon().vertices
     area_domain = _area(base_verts)
     points = potential.target.points
     heights = potential.heights
@@ -260,14 +241,6 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     diam = float(np.linalg.norm(base_verts.max(axis=0) - base_verts.min(axis=0)))
     len_tol = adjacency_tol * (1.0 + diam)
 
-    cells = []
-    w = np.zeros(n)
-    if n == 1:
-        cells.append(base_verts)
-        w[0] = 1.0
-        return PowerCellStats(w, np.zeros((0, 2), dtype=np.int64), np.zeros(0),
-                              np.zeros((0, 2, 2)), cells, area_domain, True)
-
     triangles = _lower_facets(points, heights)
     on_hull = np.zeros(n, dtype=bool)
     if triangles is None:
@@ -275,62 +248,73 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     else:
         edges = _triangle_edges(triangles)
         on_hull[triangles.ravel()] = True
-    # neighbour lists: grouped by target, then by distance, then by index
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    gap2 = np.sum((points[src] - points[dst]) ** 2, axis=1)
-    order = np.lexsort((dst, gap2, src))
-    dst = dst[order]
-    bounds = np.searchsorted(src[order], np.arange(n + 1))
-    for i in range(n):
-        if on_hull[i]:
-            candidates = dst[bounds[i]:bounds[i + 1]]
-        else:
-            d2 = np.sum((points - points[i]) ** 2, axis=1)
-            candidates = np.argsort(d2, kind="stable")
-            candidates = candidates[candidates != i]
-        verts = _cell_vertices(base_verts, points, heights, i, candidates)
-        cells.append(verts)
-        w[i] = _area(verts) / area_domain
+    verts, counts = clip_cells(base_verts, points, heights,
+                               _candidate_matrix(points, edges, on_hull))
+    cells = [verts[i, :counts[i]] for i in range(n)]
+    w = np.array([_area(c) for c in cells]) / area_domain
 
-    live_off = [k for k in np.flatnonzero(~on_hull) if len(cells[k])]
-    if live_off:
+    live_off = np.flatnonzero(~on_hull & (counts > 0))
+    if len(live_off):
         k = np.repeat(live_off, n)
         j = np.tile(np.arange(n), len(live_off))
         extra = np.sort(np.column_stack([k, j])[k != j], axis=1)
         edges = np.unique(np.vstack([edges, extra]), axis=0)
-    gap2 = np.sum((points[edges[:, 0]] - points[edges[:, 1]]) ** 2, axis=1)
+    edges = edges[(counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0)]
+    i, j = edges[:, 0], edges[:, 1]
+    facet, length, segments = _bisector_spans(
+        verts[i], counts[i], points[i] - points[j], heights[j] - heights[i], len_tol)
+    return PowerCellStats(w, edges[facet], length[facet] / area_domain,
+                          segments[facet], cells, area_domain, True)
 
-    pairs = []
-    measures = []
-    segments = []
-    for (i, j), g2 in zip(edges, gap2):
-        verts = cells[i]
-        if len(verts) == 0 or len(cells[j]) == 0:
-            continue
-        u = points[i] - points[j]
-        c = heights[j] - heights[i]
-        norm_u = np.sqrt(g2)
-        # signed distance of cell-i vertices to the bisector line
-        dist = (verts @ u - c) / norm_u
-        on_line = np.abs(dist) <= len_tol
-        if np.count_nonzero(on_line) < 2:
-            continue
-        pts_on = verts[on_line]
-        spread = pts_on @ np.array([-u[1], u[0]]) / norm_u
-        length = float(spread.max() - spread.min())
-        if length <= len_tol:
-            continue
-        lo, hi = np.argmin(spread), np.argmax(spread)
-        pairs.append((i, j))
-        measures.append(length / area_domain)
-        segments.append((pts_on[lo], pts_on[hi]))
 
-    facet_pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    facet_measures = np.asarray(measures, dtype=float)
-    facet_segments = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
-    return PowerCellStats(w, facet_pairs, facet_measures, facet_segments,
-                          cells, area_domain, True)
+def _candidate_matrix(points: np.ndarray, edges: np.ndarray,
+                      on_hull: np.ndarray) -> np.ndarray:
+    """Clipping order of every cell as an (n, K) matrix padded with -1.
+
+    Row i lists the regular-triangulation neighbours of target i, nearest
+    first with ties by index; a target off the lower hull gets every other
+    target, nearest first, and then K = n - 1.
+    """
+    n = len(points)
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    gap2 = np.sum((points[src] - points[dst]) ** 2, axis=1)
+    order = np.lexsort((dst, gap2, src))
+    src, dst = src[order], dst[order]
+    bounds = np.searchsorted(src, np.arange(n + 1))
+    off = np.flatnonzero(~on_hull)
+    depth = n - 1 if len(off) else int(np.diff(bounds).max(initial=0))
+    candidates = np.full((n, depth), -1, dtype=np.int64)
+    candidates[src, np.arange(len(src)) - bounds[src]] = dst
+    if len(off):
+        d2 = np.sum((points[None, :, :] - points[off, None, :]) ** 2, axis=2)
+        nearest = np.argsort(d2, axis=1, kind="stable")
+        candidates[off] = nearest[nearest != off[:, None]].reshape(len(off), n - 1)
+    return candidates
+
+
+def _bisector_spans(verts, counts, u, c, len_tol):
+    """Shared-facet test of each padded cell against one bisector line.
+
+    Cell row e is tested against the line <x, u_e> = c_e. Its vertices
+    within ``len_tol`` of the line are the facet candidates; there is a
+    facet when at least two lie on the line and their spread along it
+    exceeds ``len_tol``. Returns the facet mask, the spread length and the
+    (E, 2, 2) segments from the first vertex of least spread to the first
+    of greatest spread.
+    """
+    norm_u = np.sqrt(np.sum(u ** 2, axis=1))
+    dist = ((verts @ u[:, :, None])[:, :, 0] - c[:, None]) / norm_u[:, None]
+    live = np.arange(verts.shape[1]) < counts[:, None]
+    on_line = live & (np.abs(dist) <= len_tol)
+    perp = np.column_stack([-u[:, 1], u[:, 0]])
+    spread = (verts @ perp[:, :, None])[:, :, 0] / norm_u[:, None]
+    lo = np.argmin(np.where(on_line, spread, np.inf), axis=1)
+    hi = np.argmax(np.where(on_line, spread, -np.inf), axis=1)
+    rows = np.arange(len(verts))
+    length = spread[rows, hi] - spread[rows, lo]
+    facet = (np.count_nonzero(on_line, axis=1) >= 2) & (length > len_tol)
+    return facet, length, np.stack([verts[rows, lo], verts[rows, hi]], axis=1)
 
 
 def mc_cell_stats(potential: BrenierPotential, domain, samples: int,

@@ -25,6 +25,7 @@ from .geometry import (
     DimensionUnsupportedError,
     DiscreteTargetMeasure,
     GeometryError,
+    _cycled,
     sample_source,
 )
 from .potential import (
@@ -340,7 +341,7 @@ def transport_cost(potential: BrenierPotential, domain, samples: int | None = No
 def _polygon_moments(verts: np.ndarray):
     """Area, first moments, and axis second moments of a CCW polygon."""
     x, y = verts[:, 0], verts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _cycled(x), _cycled(y)
     cross = x * yn - xn * y
     a = 0.5 * float(np.sum(cross))
     sx = float(np.sum((x + xn) * cross)) / 6.0

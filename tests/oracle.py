@@ -1,5 +1,9 @@
 """Brute-force power-diagram oracle for cross-checking ``sdot.potential``.
 
+The oracle owns the scalar clipper: ``_clip_vertices`` clips one convex
+polygon against one half-plane with a loop over its edges, and
+``_cell_vertices`` chains it over one cell's targets. ``sdot`` clips every
+cell at once in ``sdot.geometry.clip_cells``; nothing here imports it.
 ``all_pairs_cell_stats_2d`` clips every cell against every other target,
 nearest first, and scans all i < j pairs for shared facets. It reads no
 triangulation, so it stays independent of the lower-hull candidate lists
@@ -9,10 +13,51 @@ that ``exact_cell_stats_2d`` clips against. ``loop_facet_chord_length`` and
 """
 import numpy as np
 
-from sdot.geometry import _area, _clip_vertices
+from sdot.geometry import DEGENERACY_TOL, _area
 from sdot.potential import ADJACENCY_TOL, PowerCellStats
 
-_EMPTY = np.zeros((0, 2))
+_EMPTY_VERTS = np.zeros((0, 2))
+
+
+def _clip_vertices(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
+    """Clip a convex CCW vertex array against the half-plane <a,x> <= b."""
+    m = len(verts)
+    if m == 0:
+        return _EMPTY_VERTS
+    s = verts @ a - b
+    if np.all(s <= 0.0):
+        return verts
+    if np.all(s >= 0.0):
+        # boundary-only contact collapses to a zero-area polygon
+        return _EMPTY_VERTS
+    out = []
+    for k in range(m):
+        p, q = verts[k], verts[(k + 1) % m]
+        sp, sq = s[k], s[(k + 1) % m]
+        if sp <= 0.0:
+            out.append(p)
+            if sq > 0.0:
+                t = sp / (sp - sq)
+                out.append(p + t * (q - p))
+        elif sq <= 0.0:
+            t = sp / (sp - sq)
+            out.append(p + t * (q - p))
+    if len(out) < 3:
+        return _EMPTY_VERTS
+    cleaned = _dedupe_ring(np.asarray(out))
+    if len(cleaned) < 3:
+        return _EMPTY_VERTS
+    return cleaned
+
+
+def _dedupe_ring(verts: np.ndarray) -> np.ndarray:
+    """Drop consecutive (cyclically) duplicate vertices."""
+    scale = 1.0 + np.abs(verts).max()
+    diff = verts - np.roll(verts, 1, axis=0)
+    keep = np.abs(diff).max(axis=1) > DEGENERACY_TOL * scale
+    if keep.all():
+        return verts
+    return verts[keep]
 
 
 def _cell_vertices(base_verts, points, heights, i, order):
@@ -26,10 +71,10 @@ def _cell_vertices(base_verts, points, heights, i, order):
         if np.all(s <= 0.0):
             continue
         if np.all(s >= 0.0):
-            return _EMPTY
+            return _EMPTY_VERTS
         verts = _clip_vertices(verts, a, b)
         if len(verts) == 0:
-            return _EMPTY
+            return _EMPTY_VERTS
     return verts
 
 
