@@ -79,7 +79,8 @@ def cmd_solve(args) -> int:
         stats = exact_cell_stats_2d(potential, domain)
         _write_json(outdir / "stats.json", stats.to_json_dict())
     if not report.converged:
-        print(f"did not converge: residual {report.final_residual:.3e} "
+        reason = "step underflow" if report.step_underflow else "max iterations"
+        print(f"did not converge ({reason}): residual {report.final_residual:.3e} "
               f"after {report.iterations} iterations", file=sys.stderr)
         return 2
     print(f"converged in {report.iterations} iterations, "

@@ -2,8 +2,8 @@
 
 The continuous side of the transport problem lives here: convex compact
 domains carrying a uniform probability density, Monte Carlo sampling, and
-the polygon arithmetic (half-plane clipping, areas, centroids) that the
-exact 2D cell computations are built on.
+the polygon arithmetic (half-plane clipping, one shoelace pass for the
+moments of many polygons) that the exact 2D cell computations are built on.
 """
 from __future__ import annotations
 
@@ -108,15 +108,7 @@ def _cycled(x: np.ndarray) -> np.ndarray:
 def polygon_area(poly) -> float:
     """Shoelace area; CCW input gives a nonnegative result."""
     verts = poly.vertices if isinstance(poly, ConvexPolygon) else np.asarray(poly, float)
-    return _area(verts)
-
-
-def _area(verts: np.ndarray) -> float:
-    if len(verts) < 3:
-        return 0.0
-    x, y = verts[:, 0], verts[:, 1]
-    xn, yn = _cycled(x), _cycled(y)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    return float(polygon_moments([verts])[0, 0])
 
 
 def polygon_centroid(poly) -> np.ndarray:
@@ -124,15 +116,39 @@ def polygon_centroid(poly) -> np.ndarray:
     verts = poly.vertices if isinstance(poly, ConvexPolygon) else np.asarray(poly, float)
     if len(verts) == 0:
         raise GeometryError("centroid of empty polygon")
-    a = _area(verts)
-    if abs(a) < 1e-300 or len(verts) < 3:
+    a, sx, sy, _, _ = polygon_moments([verts])[0]
+    if abs(a) < 1e-300:
         return verts.mean(axis=0)
+    return np.array([sx / a, sy / a])
+
+
+def polygon_moments(polygons) -> np.ndarray:
+    """Area, first moments (x, y) and axis second moments (xx, yy) of CCW rings.
+
+    Returns an (n, 5) array; a ring with fewer than 3 vertices gives a zero
+    row. One pass serves every ring: the rings are concatenated, each vertex
+    indexes its cyclic successor, and ``np.add.reduceat`` sums each ring's
+    shoelace terms. Short rings are left out first, because ``reduceat``
+    returns the element at a start index, not 0, when two starts are equal.
+    """
+    sizes = np.array([len(p) for p in polygons], dtype=np.int64)
+    out = np.zeros((len(sizes), 5))
+    real = sizes >= 3
+    if not real.any():
+        return out
+    verts = np.concatenate([p for p, ok in zip(polygons, real) if ok], dtype=float)
+    sizes = sizes[real]
+    starts = np.cumsum(sizes) - sizes
+    succ = np.arange(1, len(verts) + 1)
+    succ[starts + sizes - 1] = starts
     x, y = verts[:, 0], verts[:, 1]
-    xn, yn = _cycled(x), _cycled(y)
+    xn, yn = x[succ], y[succ]
     cross = x * yn - xn * y
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * a)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * a)
-    return np.array([cx, cy])
+    terms = np.stack([cross, (x + xn) * cross, (y + yn) * cross,
+                      (x * x + x * xn + xn * xn) * cross,
+                      (y * y + y * yn + yn * yn) * cross])
+    out[real] = np.add.reduceat(terms, starts, axis=1).T / [2.0, 6.0, 6.0, 12.0, 12.0]
+    return out
 
 
 def segment_length(p, q) -> float:
@@ -472,8 +488,7 @@ class PolygonDomain:
     def interior_ball(self):
         center = self.polygon.centroid()
         verts = self.polygon.vertices
-        nxt = np.roll(verts, -1, axis=0)
-        edge = nxt - verts
+        edge = _cycled(verts) - verts
         lengths = np.linalg.norm(edge, axis=1)
         rel = center - verts
         # distance from the centroid to each edge line

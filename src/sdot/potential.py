@@ -30,8 +30,10 @@ from .geometry import (
     DimensionUnsupportedError,
     DiscreteTargetMeasure,
     GeometryError,
-    _area,
+    _cycled,
     clip_cells,
+    polygon_area,
+    polygon_moments,
     sample_source,
 )
 
@@ -233,7 +235,7 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
     base_verts = domain.clip_polygon().vertices
-    area_domain = _area(base_verts)
+    area_domain = polygon_area(base_verts)
     points = potential.target.points
     heights = potential.heights
     n = potential.n
@@ -251,7 +253,7 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     verts, counts = clip_cells(base_verts, points, heights,
                                _candidate_matrix(points, edges, on_hull))
     cells = [verts[i, :counts[i]] for i in range(n)]
-    w = np.array([_area(c) for c in cells]) / area_domain
+    w = polygon_moments(cells)[:, 0] / area_domain
 
     live_off = np.flatnonzero(~on_hull & (counts > 0))
     if len(live_off):
@@ -422,7 +424,7 @@ def _facet_chord_length(points, heights, i, j, domain_verts) -> float:
     r_pts = (heights[others] - heights[i]) - _row_dots(a, p0)
     # inward side of a CCW domain edge: cross(edge, x - v) >= 0,
     # i.e. <a, p0 + t*dir - v> >= 0  ->  t*s >= <a, v - p0>
-    edge = np.roll(domain_verts, -1, axis=0) - domain_verts
+    edge = _cycled(domain_verts) - domain_verts
     a_dom = np.column_stack([-edge[:, 1], edge[:, 0]])
     s = np.concatenate([_row_dots(a, direction), _row_dots(a_dom, direction)])
     r = np.concatenate([r_pts, _row_dots(a_dom, domain_verts - p0)])

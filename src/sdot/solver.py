@@ -25,7 +25,7 @@ from .geometry import (
     DimensionUnsupportedError,
     DiscreteTargetMeasure,
     GeometryError,
-    _cycled,
+    polygon_moments,
     sample_source,
 )
 from .potential import (
@@ -206,13 +206,9 @@ def _admissible_start(h, domain, target, stats_fn):
 
 def _envelope_mean(stats: PowerCellStats, points: np.ndarray, h) -> float:
     """F(h): exact mean of u_h = max_i(<x, y_i> + h_i) over the 2D domain."""
-    total = 0.0
-    for i, verts in enumerate(stats.cells):
-        if len(verts) < 3:
-            continue
-        a, sx, sy, _, _ = _polygon_moments(verts)
-        total += points[i, 0] * sx + points[i, 1] * sy + h[i] * a
-    return total / stats.domain_area
+    a, sx, sy, _, _ = polygon_moments(stats.cells).T
+    total = points[:, 0] * sx + points[:, 1] * sy + h * a
+    return float(total.sum()) / stats.domain_area
 
 
 def energy(potential: BrenierPotential, domain, h_base=None) -> float:
@@ -323,29 +319,12 @@ def transport_cost(potential: BrenierPotential, domain, samples: int | None = No
     """
     if samples is None:
         stats = exact_cell_stats_2d(potential, domain)
-        pts = potential.target.points
-        total = 0.0
-        for i, verts in enumerate(stats.cells):
-            if len(verts) < 3:
-                continue
-            a, sx, sy, ixx, iyy = _polygon_moments(verts)
-            y = pts[i]
-            total += 0.5 * (ixx + iyy - 2.0 * (y[0] * sx + y[1] * sy)
-                            + (y @ y) * a)
-        return total / stats.domain_area
+        a, sx, sy, ixx, iyy = polygon_moments(stats.cells).T
+        y = potential.target.points
+        total = 0.5 * (ixx + iyy - 2.0 * (y[:, 0] * sx + y[:, 1] * sy)
+                       + _row_dots(y, y) * a)
+        return float(total.sum()) / stats.domain_area
     draws = sample_source(domain, samples, rng=rng)
     disp = draws - potential.transport_map(draws)
     return 0.5 * float(np.mean(np.sum(disp * disp, axis=1)))
 
-
-def _polygon_moments(verts: np.ndarray):
-    """Area, first moments, and axis second moments of a CCW polygon."""
-    x, y = verts[:, 0], verts[:, 1]
-    xn, yn = _cycled(x), _cycled(y)
-    cross = x * yn - xn * y
-    a = 0.5 * float(np.sum(cross))
-    sx = float(np.sum((x + xn) * cross)) / 6.0
-    sy = float(np.sum((y + yn) * cross)) / 6.0
-    ixx = float(np.sum((x * x + x * xn + xn * xn) * cross)) / 12.0
-    iyy = float(np.sum((y * y + y * yn + yn * yn) * cross)) / 12.0
-    return a, sx, sy, ixx, iyy

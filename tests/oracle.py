@@ -1,4 +1,4 @@
-"""Brute-force power-diagram oracle for cross-checking ``sdot.potential``.
+"""Brute-force power-diagram oracle for cross-checking ``sdot``.
 
 The oracle owns the scalar clipper: ``_clip_vertices`` clips one convex
 polygon against one half-plane with a loop over its edges, and
@@ -7,16 +7,29 @@ cell at once in ``sdot.geometry.clip_cells``; nothing here imports it.
 ``all_pairs_cell_stats_2d`` clips every cell against every other target,
 nearest first, and scans all i < j pairs for shared facets. It reads no
 triangulation, so it stays independent of the lower-hull candidate lists
-that ``exact_cell_stats_2d`` clips against. ``loop_facet_chord_length`` and
-``loop_hessian`` are the per-target and per-facet loop forms of
-``_facet_chord_length`` and ``solver.hessian``.
+that ``exact_cell_stats_2d`` clips against.
+
+``_area`` and ``loop_polygon_moments`` are the per-polygon shoelace sums
+that ``sdot.geometry.polygon_moments`` computes for many polygons in one
+pass. ``loop_facet_chord_length`` and ``loop_hessian`` are the per-target
+and per-facet loop forms of ``_facet_chord_length`` and ``solver.hessian``.
+From ``sdot`` the oracle imports only the constants ``DEGENERACY_TOL`` and
+``ADJACENCY_TOL`` and the ``PowerCellStats`` record.
 """
 import numpy as np
 
-from sdot.geometry import DEGENERACY_TOL, _area
+from sdot.geometry import DEGENERACY_TOL
 from sdot.potential import ADJACENCY_TOL, PowerCellStats
 
 _EMPTY_VERTS = np.zeros((0, 2))
+
+
+def _area(verts: np.ndarray) -> float:
+    if len(verts) < 3:
+        return 0.0
+    x, y = verts[:, 0], verts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    return 0.5 * float(np.sum(x * yn - xn * y))
 
 
 def _clip_vertices(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
@@ -192,6 +205,19 @@ def loop_facet_chord_length(points, heights, i, j, domain_verts):
     if not np.isfinite(lo) or not np.isfinite(hi):
         return 0.0
     return float(hi - lo)
+
+
+def loop_polygon_moments(verts: np.ndarray):
+    """Area, first moments, and axis second moments of one CCW polygon."""
+    x, y = verts[:, 0], verts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    a = 0.5 * float(np.sum(cross))
+    sx = float(np.sum((x + xn) * cross)) / 6.0
+    sy = float(np.sum((y + yn) * cross)) / 6.0
+    ixx = float(np.sum((x * x + x * xn + xn * xn) * cross)) / 12.0
+    iyy = float(np.sum((y * y + y * yn + yn * yn) * cross)) / 12.0
+    return a, sx, sy, ixx, iyy
 
 
 def loop_hessian(stats, target):

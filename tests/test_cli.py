@@ -83,6 +83,23 @@ class TestSolveCommand:
                             solver={"mode": "exact-2d", "max_iterations": 1})
         assert main(["solve", str(path)]) == 2
 
+    @pytest.mark.parametrize("overrides, reason, flag", [
+        ({"target": {"generator": "grid", "k": 5},
+          "solver": {"mode": "exact-2d", "max_iterations": 1}},
+         "max iterations", "hit_max_iterations"),
+        ({"domain": {"kind": "disk", "center": [0.0, 0.0], "radius": 1.0},
+          "target": {**CLUSTER_TARGET, "per_cluster": 20},
+          "solver": {"mode": "exact-2d", "min_step": 0.99}, "seed": 11},
+         "step underflow", "step_underflow"),
+    ], ids=["max-iterations", "step-underflow"])
+    def test_exit_two_names_stopping_criterion(self, tmp_path, capsys, overrides,
+                                               reason, flag):
+        path = write_config(tmp_path, **overrides)
+        assert main(["solve", str(path)]) == 2
+        assert f"did not converge ({reason})" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report[flag] is True and report["converged"] is False
+
     def test_polygon_domain(self, tmp_path):
         path = write_config(
             tmp_path,
