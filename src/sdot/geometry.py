@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 # Absolute tolerance for collinearity/degeneracy tests on cross products.
 DEGENERACY_TOL = 1e-12
@@ -583,15 +584,10 @@ def validate_target(points, weights=None, mass_tolerance: float = 1e-6) -> Discr
             )
         w = w / total
 
-    # pairwise duplicate check, chunked to bound memory on large clouds
-    for start in range(0, len(pts), 512):
-        block = pts[start:start + 512]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        i_idx, j_idx = np.nonzero(d2 <= DEGENERACY_TOL**2)
-        for bi, j in zip(i_idx, j_idx):
-            i = start + bi
-            if i < j:
-                raise DuplicatePointError(f"target points {i} and {j} coincide")
+    pairs = cKDTree(pts).query_pairs(DEGENERACY_TOL)
+    if pairs:
+        i, j = min(pairs)
+        raise DuplicatePointError(f"target points {i} and {j} coincide")
     return DiscreteTargetMeasure(pts, w)
 
 

@@ -18,6 +18,8 @@ The clipping order is one (n, K) candidate matrix, padded with -1, and all
 cells are clipped together by ``geometry.clip_cells``: round r clips every
 cell still running against its r-th candidate. The facet search then tests
 every candidate pair against the padded cells in one vectorised pass.
+``legendre_dual`` bounds each facet chord by the same neighbours, plus the
+domain edges, and measures every chord in one pass.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .geometry import (
     GeometryError,
     _cycled,
     clip_cells,
+    convex_hull_2d,
     polygon_area,
     polygon_moments,
     sample_source,
@@ -47,8 +50,8 @@ ADJACENCY_TOL = 1e-9
 class DegenerateHullError(GeometryError):
     """Dual construction impossible: all target points coincide.
 
-    Merely collinear targets do not raise; they fall back to 1D sorted
-    adjacency.
+    Merely collinear targets do not raise; they fall back to the 1D upper
+    hull of the lifted targets.
     """
 
 
@@ -142,15 +145,6 @@ class PowerCellStats:
 
     def adjacency_set(self) -> set:
         return {(int(i), int(j)) for i, j in self.facet_pairs}
-
-    def neighbors(self, i: int) -> list:
-        out = []
-        for a, b in self.facet_pairs:
-            if a == i:
-                out.append(int(b))
-            elif b == i:
-                out.append(int(a))
-        return sorted(out)
 
     def facet_measure(self, i: int, j: int) -> float:
         if not self.has_facet_measures:
@@ -248,7 +242,7 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     if triangles is None:
         edges = np.zeros((0, 2), dtype=np.int64)
     else:
-        edges = _triangle_edges(triangles)
+        edges = _unique_edges(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), n)
         on_hull[triangles.ravel()] = True
     verts, counts = clip_cells(base_verts, points, heights,
                                _candidate_matrix(points, edges, on_hull))
@@ -259,8 +253,8 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     if len(live_off):
         k = np.repeat(live_off, n)
         j = np.tile(np.arange(n), len(live_off))
-        extra = np.sort(np.column_stack([k, j])[k != j], axis=1)
-        edges = np.unique(np.vstack([edges, extra]), axis=0)
+        extra = np.column_stack([k, j])[k != j]
+        edges = _unique_edges(np.vstack([edges, extra]), n)
     edges = edges[(counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0)]
     i, j = edges[:, 0], edges[:, 1]
     facet, length, segments = _bisector_spans(
@@ -365,10 +359,15 @@ def legendre_dual(potential: BrenierPotential, domain=None,
 
     Each target lifts to ``(y_i, -h_i)``; the lower hull of the lifted
     cloud is the graph of the Legendre transform, and its edges project to
-    the weighted Delaunay edges. With a ``domain``, edges whose dual
-    power-diagram facet misses the domain are dropped, restoring the exact
-    duality with the clipped diagram: edge (i, j) present iff the clipped
-    facet mass is positive. When exact ``stats`` are supplied, each edge is
+    the weighted Delaunay edges. Collinear targets use the 1D upper hull
+    of ``(<y_i, u>, h_i)`` along their line direction u instead.
+
+    With a ``domain``, edges whose dual power-diagram facet misses the
+    domain are dropped, restoring the exact duality with the clipped
+    diagram: edge (i, j) present iff the clipped facet mass is positive.
+    The facet is the chord of the (i, j) bisector line left by the
+    triangulation neighbours of i and the domain edges; all chords are
+    measured in one batched pass. With exact ``stats``, each edge is
     annotated with the mass of its dual facet.
     """
     if potential.target.dimension != 2:
@@ -380,9 +379,6 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     if n == 1:
         edges = np.zeros((0, 2), dtype=np.int64)
         hull = np.array([0], dtype=np.int64)
-    elif n == 2:
-        edges = np.array([[0, 1]], dtype=np.int64)
-        hull = np.array([0, 1], dtype=np.int64)
     else:
         edges, hull = _lower_hull_edges(points, heights)
 
@@ -390,9 +386,7 @@ def legendre_dual(potential: BrenierPotential, domain=None,
         base = domain.clip_polygon().vertices
         diam = float(np.linalg.norm(base.max(axis=0) - base.min(axis=0)))
         tol = ADJACENCY_TOL * (1.0 + diam)
-        keep = [k for k, (i, j) in enumerate(edges)
-                if _facet_chord_length(points, heights, int(i), int(j), base) > tol]
-        edges = edges[keep]
+        edges = edges[_facet_chord_lengths(points, heights, edges, base) > tol]
 
     zero = np.setdiff1d(np.arange(n, dtype=np.int64), hull)
     measures = None
@@ -403,51 +397,52 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     return DualTriangulation(edges, measures, zero, hull)
 
 
-def _facet_chord_length(points, heights, i, j, domain_verts) -> float:
-    """Length of the (i, j) power facet inside the domain polygon.
+def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
+    """Length of the power facet of every edge (i, j) inside the domain polygon.
 
-    The facet lives on the bisector line of planes i and j; every other
-    plane's dominance constraint and every domain edge restricts the line
-    parameter to an interval. Works directly on the line, independently of
-    the polygon-clipping pipeline.
+    The facet lies on the (i, j) bisector line, in cell i, which only the
+    regular-triangulation neighbours of i and the domain edges bound. Each
+    bound restricts the line parameter to an interval; all edges are
+    measured in one pass, independently of the polygon-clipping pipeline.
     """
+    i, j = edges[:, 0], edges[:, 1]
     u = points[i] - points[j]
     c = heights[j] - heights[i]
-    nrm2 = float(u @ u)
-    p0 = (c / nrm2) * u
-    direction = np.array([-u[1], u[0]]) / np.sqrt(nrm2)
+    nrm2 = _row_dots(u, u)
+    p0 = (c / nrm2)[:, None] * u
+    direction = np.column_stack([-u[:, 1], u[:, 0]]) / np.sqrt(nrm2)[:, None]
 
-    # each constraint reads t*s >= r on the line p0 + t*direction
-    others = np.ones(len(points), dtype=bool)
-    others[[i, j]] = False
-    a = points[i] - points[others]
-    r_pts = (heights[others] - heights[i]) - _row_dots(a, p0)
+    # each constraint reads t*s >= r on the line p0 + t*direction; padding
+    # and j itself map to i, a zero row that is parallel with r = 0
+    nbrs = _candidate_matrix(points, edges, np.ones(len(points), dtype=bool))[i]
+    nbrs = np.where((nbrs < 0) | (nbrs == j[:, None]), i[:, None], nbrs)
+    a = points[i][:, None, :] - points[nbrs]
+    r_pts = (heights[nbrs] - heights[i][:, None]) - _row_dots(a, p0[:, None])
     # inward side of a CCW domain edge: cross(edge, x - v) >= 0,
     # i.e. <a, p0 + t*dir - v> >= 0  ->  t*s >= <a, v - p0>
     edge = _cycled(domain_verts) - domain_verts
     a_dom = np.column_stack([-edge[:, 1], edge[:, 0]])
-    s = np.concatenate([_row_dots(a, direction), _row_dots(a_dom, direction)])
-    r = np.concatenate([r_pts, _row_dots(a_dom, domain_verts - p0)])
+    r = np.concatenate([r_pts, _row_dots(a_dom, domain_verts - p0[:, None])], axis=1)
+    s = np.concatenate([_row_dots(a, direction[:, None]),
+                        _row_dots(a_dom, direction[:, None])], axis=1)
 
     parallel = np.abs(s) <= 1e-15
-    if np.any(r[parallel] > 0):
-        return 0.0
-    s, r = s[~parallel], r[~parallel]
-    t = r / s
-    lo = t[s > 0].max(initial=-np.inf)
-    hi = t[s < 0].min(initial=np.inf)
-    if lo >= hi or not np.isfinite(lo) or not np.isfinite(hi):
-        return 0.0
-    return float(hi - lo)
+    blocked = np.any(parallel & (r > 0), axis=1)
+    s[parallel] = np.nan  # a parallel constraint bounds neither end
+    t = np.divide(r, s, out=r)  # r is not needed again
+    lo = t.max(axis=1, where=s > 0, initial=-np.inf)
+    hi = t.min(axis=1, where=s < 0, initial=np.inf)
+    ok = ~blocked & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
+    return np.where(ok, hi - lo, 0.0)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (m, 2) ``a`` with ``b`` of shape (2,) or (m, 2).
+    """Dot products along the last axis of ``a`` and ``b``, broadcast.
 
     Stacked vector-vector matmul runs the same dot kernel as a 1-D
-    ``a[k] @ b[k]``, so each row is bit-identical to that scalar product.
+    ``a[k] @ b[k]``, so each entry is bit-identical to that scalar product.
     """
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _collinear_direction(points: np.ndarray):
@@ -487,39 +482,48 @@ def _lower_facets(points: np.ndarray, heights: np.ndarray):
     return hull.simplices[hull.equations[:, 2] < -1e-12].astype(np.int64)
 
 
-def _triangle_edges(triangles: np.ndarray) -> np.ndarray:
-    """Sorted unique edges (i < j) of a triangle list."""
-    sides = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [0, 2]]])
-    return np.unique(np.sort(sides, axis=1), axis=0)
+def _unique_edges(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Sorted unique edges (i < j) of an (m, 2) array of pairs over n targets.
+
+    Each edge is keyed by i * n + j, which sorts like the row (i, j).
+    """
+    pairs = np.sort(pairs, axis=1)
+    key = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return np.column_stack([key // n, key % n])
 
 
 def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
     u = _collinear_direction(points)
     if u is not None:
-        # degenerate hull: collinear targets fall back to 1D sorted adjacency
+        # degenerate hull: collinear targets fall back to the 1D upper hull
+        # of (<y_i, u>, h_i); a target below its neighbours' chord has no
+        # cell, and consecutive hull targets are adjacent
         t = points @ u
-        order = np.argsort(t, kind="stable")
-        edges = np.array([sorted((int(order[k]), int(order[k + 1])))
-                          for k in range(len(order) - 1)], dtype=np.int64)
-        return edges, order.astype(np.int64)
+        tol = 1e-12 * (1.0 + np.abs(t).max() + np.abs(heights).max())
+        hull = []
+        for k in np.argsort(t, kind="stable"):
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                chord = heights[a] + (heights[k] - heights[a]) * (t[b] - t[a]) / (t[k] - t[a])
+                if chord - heights[b] <= tol:
+                    break
+                hull.pop()
+            hull.append(k)
+        hull = np.asarray(hull, dtype=np.int64)
+        return np.sort(np.column_stack([hull[:-1], hull[1:]]), axis=1), hull
 
     triangles = _lower_facets(points, heights)
     if triangles is None:
         # lifted points coplanar: the dual is linear, only the planar hull
         # boundary of the targets carries cells
-        from .geometry import convex_hull_2d
-
-        ring = convex_hull_2d(points)
         ring_idx = []
-        for v in ring:
+        for v in convex_hull_2d(points):
             hits = np.nonzero(np.all(np.abs(points - v) <= 1e-12, axis=1))[0]
             ring_idx.append(int(hits[0]))
-        edges = {tuple(sorted((ring_idx[k], ring_idx[(k + 1) % len(ring_idx)])))
-                 for k in range(len(ring_idx))}
-        return (np.asarray(sorted(edges), dtype=np.int64),
-                np.asarray(sorted(set(ring_idx)), dtype=np.int64))
+        ring_edges = np.column_stack([ring_idx, np.roll(ring_idx, -1)])
+        return _unique_edges(ring_edges, len(points)), np.unique(ring_idx)
 
     if not len(triangles):
         raise GeometryError("no lower hull facets found")
-    return _triangle_edges(triangles), np.unique(triangles)
+    return (_unique_edges(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), len(points)),
+            np.unique(triangles))

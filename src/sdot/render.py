@@ -54,8 +54,7 @@ class RenderScene:
 
 
 def build_scene(domain_outline, stats, target_points, labels=None, graph=None,
-                probe=None, crossings=None, show_targets=True,
-                show_singular=True) -> RenderScene:
+                probe=None, crossings=None, show_targets=True) -> RenderScene:
     """Assemble a scene from solved artifacts.
 
     Cell fills are keyed by the targets' cluster labels when given, else by
@@ -73,7 +72,7 @@ def build_scene(domain_outline, stats, target_points, labels=None, graph=None,
             scene.cells.append((np.asarray(verts, dtype=float), color))
     if show_targets and target_points is not None:
         scene.points = np.asarray(target_points, dtype=float)
-    if show_singular and graph is not None:
+    if graph is not None:
         scene.singular_segments = [np.asarray(f.segment, dtype=float)
                                    for f in graph.facets]
     if probe is not None:

@@ -11,8 +11,10 @@ that ``exact_cell_stats_2d`` clips against.
 
 ``_area`` and ``loop_polygon_moments`` are the per-polygon shoelace sums
 that ``sdot.geometry.polygon_moments`` computes for many polygons in one
-pass. ``loop_facet_chord_length`` and ``loop_hessian`` are the per-target
-and per-facet loop forms of ``_facet_chord_length`` and ``solver.hessian``.
+pass. ``loop_facet_chord_length`` measures one facet chord against every
+other target, where ``_facet_chord_lengths`` bounds all chords in one pass
+by the triangulation neighbours only; ``loop_hessian`` is the per-facet
+loop form of ``solver.hessian``.
 From ``sdot`` the oracle imports only the constants ``DEGENERACY_TOL`` and
 ``ADJACENCY_TOL`` and the ``PowerCellStats`` record.
 """

@@ -163,6 +163,11 @@ class TestValidateTarget:
         with pytest.raises(DuplicatePointError):
             sdot.validate_target([(0, 0), (0, 0)], [0.5, 0.5])
 
+    def test_duplicate_reports_smallest_pair(self):
+        pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 0.0)]
+        with pytest.raises(DuplicatePointError, match="target points 0 and 3 coincide"):
+            sdot.validate_target(pts)
+
     def test_nonpositive_weight(self):
         with pytest.raises(NonpositiveWeightError):
             sdot.validate_target([(0, 0), (1, 0)], [1.2, -0.2])

@@ -11,10 +11,11 @@ import pytest
 import sdot
 from sdot.potential import (
     BrenierPotential,
-    _facet_chord_length,
+    _facet_chord_lengths,
     _lower_facets,
     _lower_hull_edges,
     exact_cell_stats_2d,
+    legendre_dual,
 )
 from sdot.solver import hessian
 from oracle import all_pairs_cell_stats_2d, loop_facet_chord_length, loop_hessian
@@ -120,14 +121,24 @@ def test_degenerate_inputs_match_oracle(case, domain_name):
 
 
 @pytest.mark.parametrize("domain_name", sorted(DOMAINS))
+@pytest.mark.parametrize("case", sorted(degenerate_cases()))
+def test_degenerate_dual_matches_diagram(case, domain_name):
+    pot = degenerate_cases()[case]
+    dual = legendre_dual(pot, domain=DOMAINS[domain_name])
+    assert dual.edge_set() == exact_cell_stats_2d(pot, DOMAINS[domain_name]).adjacency_set()
+    if case == "collinear":
+        assert dual.zero_cell_indices.tolist() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("domain_name", sorted(DOMAINS))
 def test_chord_length_matches_loop(duality_instances, domain_name):
     verts = DOMAINS[domain_name].clip_polygon().vertices
     potentials = duality_instances[:5] + list(degenerate_cases().values())
     for pot in potentials:
         points, heights = pot.target.points, pot.heights
-        for i, j in _lower_hull_edges(points, heights)[0]:
-            assert (_facet_chord_length(points, heights, i, j, verts)
-                    == loop_facet_chord_length(points, heights, i, j, verts))
+        edges = _lower_hull_edges(points, heights)[0]
+        want = [loop_facet_chord_length(points, heights, i, j, verts) for i, j in edges]
+        assert np.array_equal(_facet_chord_lengths(points, heights, edges, verts), want)
 
 
 def test_hessian_matches_loop(duality_instances):
