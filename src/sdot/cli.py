@@ -23,6 +23,11 @@ from .singularity import default_theta, detect_singular_facets, probe_segment
 from .solver import SolverError, solve, transport_cost
 
 
+# Rows of generated.csv formatted per write. As Python floats and strings a
+# row takes about 300 bytes, so one block holds about 20 MB whatever --count.
+_GENERATE_BLOCK = 65536
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -97,37 +102,45 @@ def cmd_generate(args) -> int:
     rng = np.random.default_rng([config.seed, 0x6e9])
     samples = sample_source(domain, count, rng=rng)
     idx = potential.assign_cell(samples)
-    mapped = potential.target.points[idx]
 
     out = outdir / "generated.csv"
     d = domain.dimension
     header = ",".join([f"x{k}" for k in range(d)] + ["target_index"]
                       + [f"y{k}" for k in range(d)])
+    # every row ends in its target's "i,y0,..." text, formatted once per target
+    suffix = [",".join([str(i), *map(repr, y)]) + "\n"
+              for i, y in enumerate(potential.target.points.tolist())]
+    row = "%r," * d + "%s"
     with open(out, "w") as fh:
         fh.write(header + "\n")
-        for row, i, y in zip(samples, idx, mapped):
-            coords = ",".join(repr(float(v)) for v in row)
-            ycoords = ",".join(repr(float(v)) for v in y)
-            fh.write(f"{coords},{int(i)},{ycoords}\n")
+        for start in range(0, count, _GENERATE_BLOCK):
+            block = slice(start, start + _GENERATE_BLOCK)
+            fh.write("".join([row % (*x, suffix[i]) for x, i in
+                              zip(samples[block].tolist(), idx[block].tolist())]))
     print(f"wrote {count} rows to {out}")
     return 0
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _parse_point(text: str, dimension: int) -> np.ndarray:
     try:
-        return np.asarray([float(tok) for tok in text.split(",")], dtype=float)
+        point = np.asarray([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError:
         raise ConfigError(f"expected comma-separated coordinates, got {text!r}") from None
+    if len(point) != dimension:
+        raise ConfigError(f"expected {dimension} coordinates, got {text!r}")
+    return point
 
 
 def cmd_probe(args) -> int:
     config, domain, _, _, outdir = _prepare(args.config, args.seed)
+    if args.steps < 2:
+        raise ConfigError("--steps must be >= 2")
+    p = _parse_point(args.p, domain.dimension)
+    q = _parse_point(args.q, domain.dimension)
     potential, stats, _ = _load_solved(config, outdir)
     theta = config.theta or default_theta(stats, potential.target)
     graph = detect_singular_facets(stats, potential.target, theta)
-    p = _parse_point(args.p)
-    q = _parse_point(args.q)
-    crossings = probe_segment(potential, domain, graph, p, q, steps=int(args.steps))
+    crossings = probe_segment(potential, domain, graph, p, q, steps=args.steps)
 
     out = outdir / "probe.csv"
     with open(out, "w") as fh:
@@ -151,7 +164,7 @@ def cmd_render(args) -> int:
         ends = args.probe.split(":")
         if len(ends) != 2:
             raise ConfigError('--probe expects "x1,y1:x2,y2"')
-        p, q = _parse_point(ends[0]), _parse_point(ends[1])
+        p, q = (_parse_point(end, domain.dimension) for end in ends)
         probe = np.stack([p, q])
         crossings = probe_segment(potential, domain, graph, p, q)
 
@@ -170,9 +183,17 @@ def cmd_render(args) -> int:
 
 def cmd_compare_oracle(args) -> int:
     config, domain, _, _, outdir = _prepare(args.config, args.seed)
+    try:
+        ladder = [int(tok) for tok in args.samples.split(",")]
+    except ValueError:
+        raise ConfigError(f"--samples expects comma-separated integers, "
+                          f"got {args.samples!r}") from None
+    if min(ladder) < 1:
+        raise ConfigError("--samples entries must be >= 1")
+    n_seeds = args.seeds
+    if n_seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     potential, _, _ = _load_solved(config, outdir, needs_stats=False)
-    ladder = [int(tok) for tok in args.samples.split(",")]
-    n_seeds = int(args.seeds)
     if domain.dimension == 2:
         sd_cost = transport_cost(potential, domain)
     else:

@@ -14,11 +14,15 @@ that ``sdot.geometry.polygon_moments`` computes for many polygons in one
 pass. ``loop_facet_chord_length`` measures one facet chord against every
 other target, where ``_facet_chord_lengths`` bounds all chords in one pass
 by the triangulation neighbours only; ``loop_hessian`` is the per-facet
-loop form of ``solver.hessian``.
+loop form of ``solver.hessian``. ``loop_mc_adjacency`` collects the
+straddling nearest-sample pairs of ``mc_cell_stats_from_samples`` in a set,
+and ``loop_generated_rows`` formats the ``sdot generate`` CSV one row at a
+time.
 From ``sdot`` the oracle imports only the constants ``DEGENERACY_TOL`` and
 ``ADJACENCY_TOL`` and the ``PowerCellStats`` record.
 """
 import numpy as np
+from scipy.spatial import cKDTree
 
 from sdot.geometry import DEGENERACY_TOL
 from sdot.potential import ADJACENCY_TOL, PowerCellStats
@@ -235,3 +239,36 @@ def loop_hessian(stats, target):
         H[i, i] += v
         H[j, j] += v
     return H
+
+
+def loop_mc_adjacency(pts, idx, neighbors, subsample):
+    """Sorted (i < j) cell pairs of nearest samples that straddle a boundary.
+
+    Each of the first ``subsample`` samples is paired with its ``neighbors``
+    nearest other samples; a pair counts when their cells ``idx`` differ.
+    """
+    pairs = set()
+    if neighbors > 0 and len(pts) > 1:
+        sub = pts[:subsample]
+        sub_idx = idx[:len(sub)]
+        k = min(neighbors + 1, len(sub))
+        _, nbr = cKDTree(sub).query(sub, k=k)
+        for col in range(1, k):
+            a = sub_idx
+            b = sub_idx[nbr[:, col]]
+            for i, j in zip(a[a != b], b[a != b]):
+                pairs.add((min(int(i), int(j)), max(int(i), int(j))))
+    return np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def loop_generated_rows(samples, idx, points) -> str:
+    """Text of ``generated.csv``: header, then "x..., i, y..." per sample."""
+    d = samples.shape[1]
+    header = ",".join([f"x{k}" for k in range(d)] + ["target_index"]
+                      + [f"y{k}" for k in range(d)])
+    out = [header + "\n"]
+    for row, i, y in zip(samples, idx, points[idx]):
+        coords = ",".join(repr(float(v)) for v in row)
+        ycoords = ",".join(repr(float(v)) for v in y)
+        out.append(f"{coords},{int(i)},{ycoords}\n")
+    return "".join(out)

@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
+import sdot.cli
 from sdot.cli import main
 from sdot.config import ConfigError, load_config
-from sdot.potential import PowerCellStats
+from sdot.potential import BrenierPotential, PowerCellStats
 from sdot.render import build_scene, scene_to_svg
+from oracle import loop_generated_rows
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -148,6 +150,35 @@ class TestGenerateCommand:
         assert not (tmp_path / "out" / "stats.json").exists()
         assert main(["generate", str(path), "--count", "50"]) == 0
 
+    @pytest.mark.parametrize("dim, overrides", [
+        (2, {}),
+        (3, {"domain": {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+             "target": {"file": "target3d.csv"},
+             "solver": {"mode": "monte-carlo", "mc_samples": 20000}}),
+    ], ids=["grid-2d", "ball-3d-monte-carlo"])
+    def test_rows_match_loop_writer(self, tmp_path, monkeypatch, dim, overrides):
+        monkeypatch.setattr(sdot.cli, "_GENERATE_BLOCK", 1000)  # three blocks
+        (tmp_path / "target3d.csv").write_text(
+            "0.5,0,0\n-0.5,0,0\n0,0.5,0\n0,-0.5,0\n0,0,0.5\n0,0,-0.6\n")
+        path = write_config(tmp_path, **overrides)
+        assert main(["solve", str(path)]) == 0
+        assert main(["generate", str(path), "--count", "2049"]) == 0
+        out = tmp_path / "out"
+        target = json.loads((out / "target.json").read_text())
+        heights = json.loads((out / "heights.json").read_text())["heights"]
+        measure = sdot.validate_target(np.asarray(target["points"]),
+                                       np.asarray(target["weights"]))
+        potential = BrenierPotential(measure, np.asarray(heights))
+        assert measure.dimension == dim
+
+        text = (out / "generated.csv").read_text()
+        # repr round-trips, so the file gives back the exact samples
+        samples = np.array([[float(t) for t in line.split(",")[:dim]]
+                            for line in text.splitlines()[1:]])
+        assert samples.shape == (2049, dim)
+        idx = np.array([potential.assign_cell(x) for x in samples])
+        assert text == loop_generated_rows(samples, idx, measure.points)
+
     def test_mode_histogram_close_to_weights(self, tmp_path):
         path = write_config(tmp_path)
         main(["solve", str(path)])
@@ -175,6 +206,25 @@ class TestProbeCommand:
         path = write_config(tmp_path)
         main(["solve", str(path)])
         assert main(["probe", str(path), "--from=-5,0", "--to=0,0"]) == 1
+
+
+@pytest.fixture(scope="module")
+def solved_grid_config(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("solved")
+    path = write_config(tmp_path)
+    assert main(["solve", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("args", [
+    ["probe", "--from=-0.5,0", "--to=0.5,0", "--steps", "1"],
+    ["probe", "--from", "0,0,0", "--to", "0.5,0"],
+    ["compare-oracle", "--samples", "abc"],
+    ["compare-oracle", "--samples", "50", "--seeds", "0"],
+], ids=["probe-steps", "probe-dimension", "oracle-samples", "oracle-seeds"])
+def test_bad_input_exit_one(solved_grid_config, capsys, args):
+    assert main([args[0], str(solved_grid_config), *args[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestRenderCommand:
@@ -209,7 +259,6 @@ class TestRenderCommand:
         stats = PowerCellStats.from_json_dict(
             json.loads((tmp_path / "out" / "stats.json").read_text()))
         target = json.loads((tmp_path / "out" / "target.json").read_text())
-        import sdot
         from sdot.singularity import default_theta, detect_singular_facets
 
         measure = sdot.validate_target(np.asarray(target["points"]),

@@ -4,13 +4,16 @@ import pytest
 import sdot
 from sdot.geometry import DimensionUnsupportedError
 from sdot.potential import (
+    _ASSIGN_CHUNK,
     BrenierPotential,
     PowerCellStats,
     exact_cell_stats_2d,
     legendre_dual,
     mc_cell_stats,
+    mc_cell_stats_from_samples,
 )
 from conftest import random_solved_instance
+from oracle import loop_mc_adjacency
 
 
 def brute_force_envelope(potential, x):
@@ -72,6 +75,70 @@ class TestEvaluation:
         dots = np.sum((x1 - x2) * (grid25_potential.transport_map(x1)
                                    - grid25_potential.transport_map(x2)), axis=1)
         assert dots.min() >= -1e-12
+
+
+@pytest.fixture(scope="module")
+def dyadic_batch():
+    """Potential and 3 000 samples whose plane values are all exact.
+
+    Targets lie on the 1/8 grid, heights on the 1/64 grid and samples on
+    the 1/512 grid, so every <x, y_i> + h_i is a multiple of 1/4096 that any
+    BLAS kernel computes exactly, and ties between planes are exact. The
+    three highest planes meet at the origin, a triple point, and rows on
+    the three bisectors through it tie two planes.
+    """
+    rng = np.random.default_rng(8)
+    grid = np.array([(x, y) for x in range(-8, 9, 2) for y in range(-8, 9, 2)])
+    points = grid[rng.choice(len(grid), size=12, replace=False)] / 8.0
+    heights = -rng.integers(1, 17, size=12) / 64.0
+    top = [2, 5, 9]
+    heights[top] = 0.0
+    pot = BrenierPotential(sdot.validate_target(points), heights)
+    samples = rng.integers(-64, 65, size=(3000, 2)) / 64.0
+    steps = np.arange(-8, 9) / 64.0
+    on_bisectors = np.vstack([
+        steps[:, None] * (points[i] - points[j]) @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for i, j in [(2, 5), (2, 9), (5, 9)]])
+    rows = rng.choice(len(samples), size=len(on_bisectors), replace=False)
+    samples[rows] = on_bisectors
+    samples[[0, 1023, 1024, 2999]] = 0.0
+    return pot, samples
+class TestBatchedEvaluation:
+    def test_matches_one_point_path(self, dyadic_batch):
+        pot, samples = dyadic_batch
+        # several full blocks and a partial one
+        assert len(samples) > 2 * _ASSIGN_CHUNK and len(samples) % _ASSIGN_CHUNK
+        idx = pot.assign_cell(samples)
+        vals = pot.evaluate(samples)
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        ties = 0
+        for x, i, v in zip(samples, idx, vals):
+            best_val, best_idx = brute_force_envelope(pot, x)
+            assert i == pot.assign_cell(x) == best_idx
+            assert v == pot.evaluate(x) == best_val
+            ties += np.count_nonzero(pot.plane_values(x) == best_val) > 1
+        assert idx[0] == idx[1023] == idx[1024] == idx[2999] == 2  # lowest of three
+        assert ties >= 40
+
+    def test_empty_batch(self, dyadic_batch):
+        pot, _ = dyadic_batch
+        idx = pot.assign_cell(np.zeros((0, 2)))
+        vals = pot.evaluate(np.zeros((0, 2)))
+        assert idx.shape == vals.shape == (0,)
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+
+    def test_lone_last_row_joins_previous_block(self):
+        # a one-row matmul takes a different BLAS kernel; the last row of a
+        # batch one row past a block boundary must round like any other row
+        rng = np.random.default_rng(4)
+        pot = BrenierPotential(sdot.validate_target(rng.standard_normal((110, 2))),
+                               rng.standard_normal(110))
+        base = rng.uniform(-2.0, 2.0, size=(_ASSIGN_CHUNK, 2))
+        for x in rng.uniform(-2.0, 2.0, size=(64, 2)):
+            batch = np.vstack([base, x])
+            pair = batch[-2:]
+            assert pot.evaluate(batch)[-1] == pot.evaluate(pair)[-1]
+            assert pot.assign_cell(batch)[-1] == pot.assign_cell(pair)[-1]
 
 
 class TestExactStats:
@@ -168,6 +235,30 @@ class TestMonteCarloStats:
         stats = mc_cell_stats(symmetric_pair, unit_square, 5000,
                               rng=np.random.default_rng(2))
         assert stats.adjacency_set() == {(0, 1)}
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_adjacency_matches_loop(self, unit_square, seed):
+        rng = np.random.default_rng(seed)
+        target = sdot.validate_target(rng.uniform(-0.4, 0.4, size=(15, 2)))
+        # Voronoi heights: every cell is nonempty
+        pot = BrenierPotential(target, -0.5 * np.sum(target.points ** 2, axis=1))
+        pts = sdot.sample_source(unit_square, 3000, rng=rng)
+        stats = mc_cell_stats_from_samples(pot, pts, 4, 2000)
+        expected = loop_mc_adjacency(pts, pot.assign_cell(pts), 4, 2000)
+        assert len(expected) > 15
+        assert stats.facet_pairs.dtype == np.int64
+        assert np.array_equal(stats.facet_pairs, expected)
+
+    @pytest.mark.parametrize("n_targets, neighbors", [(1, 4), (2, 0)])
+    def test_no_adjacency_pairs(self, unit_square, n_targets, neighbors):
+        target = sdot.validate_target(np.linspace(-0.3, 0.3, 2 * n_targets).reshape(-1, 2))
+        pot = BrenierPotential(target, np.zeros(n_targets))
+        pts = sdot.sample_source(unit_square, 500, rng=np.random.default_rng(5))
+        stats = mc_cell_stats_from_samples(pot, pts, neighbors)
+        assert stats.facet_pairs.shape == (0, 2)
+        assert stats.facet_pairs.dtype == np.int64
+        assert np.array_equal(stats.facet_pairs,
+                              loop_mc_adjacency(pts, pot.assign_cell(pts), neighbors, 20000))
 
 
 class TestLegendreDual:
