@@ -67,6 +67,7 @@ from .solver import (
     FacetMeasuresUnavailableError,
     InitialPointOutsideHError,
     PathLeavesAdmissibleSetError,
+    SingularHessianError,
     SolveReport,
     SolverConfig,
     energy,

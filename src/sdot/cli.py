@@ -228,8 +228,16 @@ def cmd_compare_oracle(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other input errors; 2 means no convergence."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sdot",
         description="Semi-discrete optimal transport solver and diagnostics.",
     )

@@ -9,17 +9,18 @@ in any dimension. The Legendre dual of the potential is built from the 3D
 lower convex hull of the lifted points ``(y_i, -h_i)``; its projection is
 the weighted Delaunay (regular) triangulation.
 
-The exact 2D statistics use that triangulation too: each cell is clipped
-only against its triangulation neighbours, nearest first, and facets are
-sought only among neighbour pairs. When there is no 3D hull (n <= 3,
-collinear targets, coplanar lifted points), and for any target qhull leaves
-off the lower hull, a cell is clipped against every other target instead.
-The clipping order is one (n, K) candidate matrix, padded with -1, and all
-cells are clipped together by ``geometry.clip_cells``: round r clips every
-cell still running against its r-th candidate. The facet search then tests
-every candidate pair against the padded cells in one vectorised pass.
-``legendre_dual`` bounds each facet chord by the same neighbours, plus the
-domain edges, and measures every chord in one pass.
+The exact 2D statistics use the same lower hull (the 1D upper hull for
+collinear targets, the planar hull ring for coplanar lifts): a target has a
+cell exactly when it is a hull vertex, bounded only by its triangulation
+neighbours. Each hull cell is clipped against its neighbours, nearest
+first, facets are sought only among neighbour pairs, and a target off the
+hull is not clipped. The clipping order is one (n, K) candidate matrix,
+padded with -1, and all cells are clipped together by
+``geometry.clip_cells``: round r clips every cell still running against its
+r-th candidate. The facet search then tests every neighbour pair against
+the padded cells in one vectorised pass. ``legendre_dual`` bounds each
+facet chord by the same neighbours, plus the domain edges, and measures
+every chord in one pass.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .geometry import (
     GeometryError,
     _cycled,
     clip_cells,
-    convex_hull_2d,
     polygon_area,
     polygon_moments,
     sample_source,
@@ -231,19 +231,17 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
 
     A power cell is bounded only by the bisectors of its neighbours in the
     regular triangulation: the edges of the lower hull of the lifted points
-    (y_i, -h_i). One qhull pass gives each target its neighbours; its cell
-    is clipped against those, nearest first, and facets are sought only
-    among neighbour pairs. Every other target is the candidate list instead,
-    nearest first, for a target that qhull leaves off the lower hull, and
-    for all targets when there is no 3D hull (n <= 3, collinear targets or
-    coplanar lifted points). Such a target, if its cell is not empty, is
-    also paired with every other target in the facet search.
+    (y_i, -h_i), from :func:`_lower_hull_edges` as in :func:`legendre_dual`.
+    Each target on that hull has its cell clipped against its neighbours,
+    nearest first, and facets are sought only among neighbour pairs. A
+    target off the hull has an empty cell everywhere in the plane: its
+    mass is zero and it is not clipped.
 
-    The candidate lists form one (n, K) matrix padded with -1, and
-    :func:`~sdot.geometry.clip_cells` clips all cells together, one round
-    per neighbour rank; a cell leaves the batch when its list ends or it
-    becomes empty. The facet search tests all candidate pairs at once on
-    the padded cells.
+    The candidate lists form one (n, K) matrix padded with -1, K the
+    largest triangulation degree, and :func:`~sdot.geometry.clip_cells`
+    clips all hull cells together, one round per neighbour rank; a cell
+    leaves the batch when its list ends or it becomes empty. The facet
+    search tests all neighbour pairs at once on the padded cells.
     """
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
@@ -256,24 +254,17 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     diam = float(np.linalg.norm(base_verts.max(axis=0) - base_verts.min(axis=0)))
     len_tol = adjacency_tol * (1.0 + diam)
 
-    triangles = _lower_facets(points, heights)
-    on_hull = np.zeros(n, dtype=bool)
-    if triangles is None:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    else:
-        edges = _unique_edges(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), n)
-        on_hull[triangles.ravel()] = True
-    verts, counts = clip_cells(base_verts, points, heights,
-                               _candidate_matrix(points, edges, on_hull))
+    edges, hull = _lower_hull_edges(points, heights)
+    # clip_cells numbers its sites by row: renumber the (sorted) hull targets
+    hull_verts, hull_counts = clip_cells(
+        base_verts, points[hull], heights[hull],
+        _candidate_matrix(points[hull], np.searchsorted(hull, edges)))
+    verts = np.zeros((n, *hull_verts.shape[1:]))
+    counts = np.zeros(n, dtype=np.int64)
+    verts[hull], counts[hull] = hull_verts, hull_counts
     cells = [verts[i, :counts[i]] for i in range(n)]
     w = polygon_moments(cells)[:, 0] / area_domain
 
-    live_off = np.flatnonzero(~on_hull & (counts > 0))
-    if len(live_off):
-        k = np.repeat(live_off, n)
-        j = np.tile(np.arange(n), len(live_off))
-        extra = np.column_stack([k, j])[k != j]
-        edges = _unique_edges(np.vstack([edges, extra]), n)
     edges = edges[(counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0)]
     i, j = edges[:, 0], edges[:, 1]
     facet, length, segments = _bisector_spans(
@@ -282,13 +273,11 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
                           segments[facet], cells, area_domain, True)
 
 
-def _candidate_matrix(points: np.ndarray, edges: np.ndarray,
-                      on_hull: np.ndarray) -> np.ndarray:
+def _candidate_matrix(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Clipping order of every cell as an (n, K) matrix padded with -1.
 
-    Row i lists the regular-triangulation neighbours of target i, nearest
-    first with ties by index; a target off the lower hull gets every other
-    target, nearest first, and then K = n - 1.
+    Row i lists the regular-triangulation neighbours of target i in
+    ``edges``, nearest first with ties by index; K is the largest degree.
     """
     n = len(points)
     src = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -297,14 +286,8 @@ def _candidate_matrix(points: np.ndarray, edges: np.ndarray,
     order = np.lexsort((dst, gap2, src))
     src, dst = src[order], dst[order]
     bounds = np.searchsorted(src, np.arange(n + 1))
-    off = np.flatnonzero(~on_hull)
-    depth = n - 1 if len(off) else int(np.diff(bounds).max(initial=0))
-    candidates = np.full((n, depth), -1, dtype=np.int64)
+    candidates = np.full((n, int(np.diff(bounds).max(initial=0))), -1, dtype=np.int64)
     candidates[src, np.arange(len(src)) - bounds[src]] = dst
-    if len(off):
-        d2 = np.sum((points[None, :, :] - points[off, None, :]) ** 2, axis=2)
-        nearest = np.argsort(d2, axis=1, kind="stable")
-        candidates[off] = nearest[nearest != off[:, None]].reshape(len(off), n - 1)
     return candidates
 
 
@@ -393,11 +376,7 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     heights = potential.heights
     n = potential.n
 
-    if n == 1:
-        edges = np.zeros((0, 2), dtype=np.int64)
-        hull = np.array([0], dtype=np.int64)
-    else:
-        edges, hull = _lower_hull_edges(points, heights)
+    edges, hull = _lower_hull_edges(points, heights)
 
     if domain is not None and len(edges):
         base = domain.clip_polygon().vertices
@@ -431,7 +410,7 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
 
     # each constraint reads t*s >= r on the line p0 + t*direction; padding
     # and j itself map to i, a zero row that is parallel with r = 0
-    nbrs = _candidate_matrix(points, edges, np.ones(len(points), dtype=bool))[i]
+    nbrs = _candidate_matrix(points, edges)[i]
     nbrs = np.where((nbrs < 0) | (nbrs == j[:, None]), i[:, None], nbrs)
     a = points[i][:, None, :] - points[nbrs]
     r_pts = (heights[nbrs] - heights[i][:, None]) - _row_dots(a, p0[:, None])
@@ -482,15 +461,10 @@ def _lower_facets(points: np.ndarray, heights: np.ndarray):
 
     Each target lifts to (y_i, -h_i); a facet is lower when its outward
     normal points down. The facets project to the triangles of the regular
-    (weighted Delaunay) triangulation. Returns None when there is no 3D
-    hull: fewer than four targets, collinear (or coincident) targets, or
-    coplanar lifted points.
+    (weighted Delaunay) triangulation. Returns None when qhull finds no 3D
+    hull: fewer than four targets, collinear targets or coplanar lifted
+    points.
     """
-    try:
-        if len(points) <= 3 or _collinear_direction(points) is not None:
-            return None
-    except DegenerateHullError:
-        return None
     lifted = np.column_stack([points, -heights])
     try:
         hull = ConvexHull(lifted)
@@ -510,11 +484,18 @@ def _unique_edges(pairs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
+    """Sorted lower-hull edges (i < j) and the sorted targets with a cell.
+
+    Collinear targets use the 1D upper hull of (<y_i, u>, h_i) along their
+    line direction u; coplanar lifted points give the planar hull ring.
+    """
+    n = len(points)
+    if n == 1:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
     u = _collinear_direction(points)
     if u is not None:
-        # degenerate hull: collinear targets fall back to the 1D upper hull
-        # of (<y_i, u>, h_i); a target below its neighbours' chord has no
-        # cell, and consecutive hull targets are adjacent
+        # a target below its neighbours' chord has no cell, and consecutive
+        # hull targets are adjacent
         t = points @ u
         tol = 1e-12 * (1.0 + np.abs(t).max() + np.abs(heights).max())
         hull = []
@@ -526,21 +507,16 @@ def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
                     break
                 hull.pop()
             hull.append(k)
-        hull = np.asarray(hull, dtype=np.int64)
-        return np.sort(np.column_stack([hull[:-1], hull[1:]]), axis=1), hull
+        return _unique_edges(np.column_stack([hull[:-1], hull[1:]]), n), np.sort(hull)
 
     triangles = _lower_facets(points, heights)
     if triangles is None:
         # lifted points coplanar: the dual is linear, only the planar hull
-        # boundary of the targets carries cells
-        ring_idx = []
-        for v in convex_hull_2d(points):
-            hits = np.nonzero(np.all(np.abs(points - v) <= 1e-12, axis=1))[0]
-            ring_idx.append(int(hits[0]))
-        ring_edges = np.column_stack([ring_idx, np.roll(ring_idx, -1)])
-        return _unique_edges(ring_edges, len(points)), np.unique(ring_idx)
+        # ring of the targets carries cells
+        ring = ConvexHull(points).vertices.astype(np.int64)
+        return _unique_edges(np.column_stack([ring, np.roll(ring, -1)]), n), np.sort(ring)
 
     if not len(triangles):
         raise GeometryError("no lower hull facets found")
-    return (_unique_edges(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), len(points)),
+    return (_unique_edges(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), n),
             np.unique(triangles))

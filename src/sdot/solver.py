@@ -56,6 +56,10 @@ class InitialPointOutsideHError(SolverError):
     """Neither the given heights nor scaled-Voronoi heights fill every cell."""
 
 
+class SingularHessianError(SolverError):
+    """Singular gauge-fixed Hessian; impossible when every cell has mass."""
+
+
 @dataclass
 class SolverConfig:
     """Solve parameters; tolerance defaults depend on the mode."""
@@ -242,14 +246,17 @@ def energy(potential: BrenierPotential, domain, h_base=None) -> float:
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve H d = -g on the gauge-fixed subspace (last height pinned)."""
+    """Solve H d = -g on the gauge-fixed subspace (last height pinned).
+
+    With every cell mass positive the facet graph is connected and the
+    reduced matrix nonsingular (Kitagawa-Merigot-Thibert); a singular one
+    raises :class:`SingularHessianError`.
+    """
     n = len(g)
-    Hr = H[:n - 1, :n - 1]
-    gr = g[:n - 1]
     try:
-        dr = np.linalg.solve(Hr, -gr)
-    except np.linalg.LinAlgError:
-        dr = np.linalg.lstsq(Hr, -gr, rcond=None)[0]
+        dr = np.linalg.solve(H[:n - 1, :n - 1], -g[:n - 1])
+    except np.linalg.LinAlgError as exc:
+        raise SingularHessianError("reduced Hessian is singular") from exc
     return np.concatenate([dr, [0.0]])
 
 

@@ -17,10 +17,14 @@ by the triangulation neighbours only; ``loop_hessian`` is the per-facet
 loop form of ``solver.hessian``. ``loop_mc_adjacency`` collects the
 straddling nearest-sample pairs of ``mc_cell_stats_from_samples`` in a set,
 and ``loop_generated_rows`` formats the ``sdot generate`` CSV one row at a
-time.
+time. ``exact_cell_masses`` repeats the all-pairs clipping in
+``fractions.Fraction`` arithmetic, so its cell masses are exact for the
+given float inputs.
 From ``sdot`` the oracle imports only the constants ``DEGENERACY_TOL`` and
 ``ADJACENCY_TOL`` and the ``PowerCellStats`` record.
 """
+from fractions import Fraction
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -156,6 +160,47 @@ def all_pairs_cell_stats_2d(potential, domain, adjacency_tol=ADJACENCY_TOL):
     facet_segments = np.asarray(segments, dtype=float).reshape(-1, 2, 2)
     return PowerCellStats(w, facet_pairs, facet_measures, facet_segments,
                           cells, area_domain, True)
+
+
+def _exact_area(poly) -> Fraction:
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]):
+        total += x0 * y1 - x1 * y0
+    return total / 2
+
+
+def _exact_clip(poly, a, b):
+    """Clip a CCW rational polygon against <a,x> <= b, exactly."""
+    s = [a[0] * x + a[1] * y - b for x, y in poly]
+    out = []
+    for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], s, s[1:] + s[:1]):
+        if sp <= 0:
+            out.append(p)
+        if (sp < 0 < sq) or (sq < 0 < sp):
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out if len(out) >= 3 else []
+
+
+def exact_cell_masses(potential, domain) -> np.ndarray:
+    """Cell masses from all-pairs clipping in exact rational arithmetic.
+
+    Every float converts to a Fraction without rounding, so each mass is
+    the exact cell area of the given points, heights and domain polygon
+    over the exact domain area, rounded once to float.
+    """
+    base = [tuple(map(Fraction, v)) for v in domain.clip_polygon().vertices.tolist()]
+    points = [tuple(map(Fraction, y)) for y in potential.target.points.tolist()]
+    heights = [Fraction(h) for h in potential.heights.tolist()]
+    area_domain = _exact_area(base)
+    masses = []
+    for i, (yi, hi) in enumerate(zip(points, heights)):
+        poly = base
+        for j, (yj, hj) in enumerate(zip(points, heights)):
+            if j != i and poly:
+                poly = _exact_clip(poly, (yj[0] - yi[0], yj[1] - yi[1]), hi - hj)
+        masses.append(float(_exact_area(poly) / area_domain) if poly else 0.0)
+    return np.array(masses)
 
 
 def loop_facet_chord_length(points, heights, i, j, domain_verts):

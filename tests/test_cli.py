@@ -227,6 +227,20 @@ def test_bad_input_exit_one(solved_grid_config, capsys, args):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "x", "--count", "abc"],
+    ["solve"],
+    ["bogus"],
+], ids=["bad-int", "missing-config", "unknown-command"])
+def test_usage_error_exit_one(capsys, argv):
+    # exit code 2 means the solver did not converge, so argparse's 2 is not used
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert any(line.startswith("error:")
+               for line in capsys.readouterr().err.splitlines())
+
+
 class TestRenderCommand:
     def test_cluster_render_two_colors_and_chain(self, tmp_path):
         path = write_config(tmp_path,

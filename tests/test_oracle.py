@@ -3,12 +3,14 @@
 ``exact_cell_stats_2d`` clips each cell only against its regular
 triangulation neighbours. These tests compare it with the brute-force
 clipper in ``oracle.py`` on generic and degenerate inputs, over a box, the
-256-gon disk and a polygon domain.
+256-gon disk and a polygon domain, and on affine lifts with the exact
+rational clipper there.
 """
 import numpy as np
 import pytest
 
 import sdot
+import sdot.potential
 from sdot.potential import (
     BrenierPotential,
     _facet_chord_lengths,
@@ -18,7 +20,12 @@ from sdot.potential import (
     legendre_dual,
 )
 from sdot.solver import hessian
-from oracle import all_pairs_cell_stats_2d, loop_facet_chord_length, loop_hessian
+from oracle import (
+    all_pairs_cell_stats_2d,
+    exact_cell_masses,
+    loop_facet_chord_length,
+    loop_hessian,
+)
 
 DOMAINS = {
     "box": sdot.box_domain([[-1.0, 1.0], [-1.0, 1.0]], seed=2),
@@ -128,6 +135,48 @@ def test_degenerate_dual_matches_diagram(case, domain_name):
     assert dual.edge_set() == exact_cell_stats_2d(pot, DOMAINS[domain_name]).adjacency_set()
     if case == "collinear":
         assert dual.zero_cell_indices.tolist() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5])
+@pytest.mark.parametrize("domain_name", sorted(DOMAINS))
+def test_hidden_targets_match_oracle(monkeypatch, domain_name, sigma):
+    """Noisy paraboloid lifts hide targets; hidden cells are never clipped."""
+    clip_cells = sdot.potential.clip_cells
+    widths = []
+
+    def spy(base_verts, points, heights, candidates):
+        widths.append(np.shape(candidates)[1])
+        return clip_cells(base_verts, points, heights, candidates)
+
+    monkeypatch.setattr(sdot.potential, "clip_cells", spy)
+    domain = DOMAINS[domain_name]
+    hidden = 0
+    for k in range(6):
+        rng = np.random.default_rng([400, k])
+        target = uniform_target(rng, 20)
+        a = rng.uniform(0.5, 2.0)
+        heights = (-0.5 * a * np.sum(target.points ** 2, axis=1)
+                   + sigma * rng.standard_normal(20))
+        pot = BrenierPotential(target, heights)
+        got = assert_matches_oracle(pot, domain)
+        assert legendre_dual(pot, domain=domain).edge_set() == got.adjacency_set()
+        edges, hull = _lower_hull_edges(target.points, heights)
+        assert widths.pop() <= np.bincount(edges.ravel()).max()
+        hidden += 20 - len(hull)
+    assert hidden > 0
+
+
+@pytest.mark.parametrize("domain_name", ["box", "disk"])
+def test_affine_lift_masses_exact(domain_name):
+    """Coplanar lifts: masses within 1e-15 of exact rational clipping."""
+    domain = DOMAINS[domain_name]
+    for k in range(10):
+        rng = np.random.default_rng([900, k])
+        target = uniform_target(rng, 11)
+        a = rng.uniform(-0.5, 0.5, size=2)
+        pot = BrenierPotential(target, target.points @ a + rng.uniform(-1.0, 1.0))
+        got = exact_cell_stats_2d(pot, domain).cell_measures
+        assert np.abs(got - exact_cell_masses(pot, domain)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("domain_name", sorted(DOMAINS))

@@ -7,7 +7,9 @@ from sdot.potential import BrenierPotential, exact_cell_stats_2d, mc_cell_stats
 from sdot.solver import (
     FacetMeasuresUnavailableError,
     PathLeavesAdmissibleSetError,
+    SingularHessianError,
     SolverConfig,
+    _newton_direction,
     energy,
     gradient,
     hessian,
@@ -155,6 +157,10 @@ class TestHessian:
         stats = mc_cell_stats(pot, unit_square, 1000)
         with pytest.raises(FacetMeasuresUnavailableError):
             hessian(stats, two_point_target)
+
+    def test_singular_reduced_hessian_raises(self):
+        with pytest.raises(SingularHessianError):
+            _newton_direction(np.zeros((3, 3)), np.array([0.1, -0.1, 0.0]))
 
 
 class TestSolve:
