@@ -100,7 +100,9 @@ class BrenierPotential:
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
             return float(self.plane_values(pts).max())
-        return self._reduce_planes(pts, np.max, np.float64)
+        top = np.empty(len(pts))
+        self._reduce_planes(pts, top)
+        return top
 
     def assign_cell(self, x):
         """Index of the supporting plane attaining the envelope at x.
@@ -111,12 +113,14 @@ class BrenierPotential:
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
             return int(np.argmax(self.plane_values(pts)))
-        return self._reduce_planes(pts, np.argmax, np.int64)
+        return self._reduce_planes(pts)
 
-    def _reduce_planes(self, pts: np.ndarray, reduce, dtype) -> np.ndarray:
-        """Row-wise ``reduce`` of the plane values of an (N, d) batch.
+    def _reduce_planes(self, pts: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
+        """Row-wise argmax of the plane values of an (N, d) batch.
 
-        The batch goes through in blocks of ``_ASSIGN_CHUNK`` rows, each
+        With ``top`` given, the row maxima are written into it in the same
+        pass, read at the argmax, so each equals the row's ``np.max``. The
+        batch goes through in blocks of ``_ASSIGN_CHUNK`` rows, each
         evaluated into one reused buffer, so no (N, n) array is formed. A
         lone last row joins the block before it: BLAS computes a one-row
         product with its matrix-vector kernel, which rounds differently
@@ -124,15 +128,17 @@ class BrenierPotential:
         depend on the batch length.
         """
         n_pts = len(pts)
-        out = np.empty(n_pts, dtype=dtype)
+        idx = np.empty(n_pts, dtype=np.int64)
         buf = np.empty((min(n_pts, _ASSIGN_CHUNK + 1), self.n))
         planes = self.target.points.T
         starts = range(0, max(n_pts - 1, 1), _ASSIGN_CHUNK)
         for start, stop in zip(starts, [*starts[1:], n_pts]):
             vals = np.matmul(pts[start:stop], planes, out=buf[:stop - start])
             vals += self.heights
-            reduce(vals, axis=1, out=out[start:stop])
-        return out
+            best = np.argmax(vals, axis=1, out=idx[start:stop])
+            if top is not None:
+                top[start:stop] = vals[np.arange(stop - start), best]
+        return idx
 
     def transport_map(self, x):
         """Optimal map T(x) = y_{assign_cell(x)}."""
@@ -157,6 +163,8 @@ class PowerCellStats:
     domain_area: float | None
     has_facet_measures: bool
     sample_count: int | None = None
+    # Monte Carlo: mean of the envelope over the samples (not serialised)
+    sample_envelope_mean: float | None = None
 
     @property
     def n(self) -> int:
@@ -334,8 +342,13 @@ def mc_cell_stats(potential: BrenierPotential, domain, samples: int,
 def mc_cell_stats_from_samples(potential: BrenierPotential, pts: np.ndarray,
                                adjacency_neighbors: int = 4,
                                adjacency_subsample: int = 20000) -> PowerCellStats:
-    """Cell masses from a fixed sample set (common random numbers)."""
-    idx = potential.assign_cell(pts)
+    """Cell masses from a fixed sample set (common random numbers).
+
+    The same pass over the samples gives the envelope's sample mean, which
+    the Monte Carlo solver uses as its energy.
+    """
+    top = np.empty(len(pts))
+    idx = potential._reduce_planes(pts, top)
     counts = np.bincount(idx, minlength=potential.n)
     w = counts / len(pts)
 
@@ -350,7 +363,8 @@ def mc_cell_stats_from_samples(potential: BrenierPotential, pts: np.ndarray,
         pairs = np.column_stack([a[a != b], b[a != b]])
     facet_pairs = _unique_edges(pairs, potential.n)
     return PowerCellStats(w, facet_pairs, None, None, None, None, False,
-                          sample_count=len(pts))
+                          sample_count=len(pts),
+                          sample_envelope_mean=float(top.mean()))
 
 
 def legendre_dual(potential: BrenierPotential, domain=None,

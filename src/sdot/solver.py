@@ -168,7 +168,7 @@ def _stats_fn_for(domain, target, config: SolverConfig):
                                               adjacency_neighbors=0)
 
         def envelope_fn(h, stats):
-            return float(BrenierPotential(target, h).evaluate(frozen).mean())
+            return stats.sample_envelope_mean
     return stats_fn, envelope_fn
 
 

@@ -19,16 +19,21 @@ straddling nearest-sample pairs of ``mc_cell_stats_from_samples`` in a set,
 and ``loop_generated_rows`` formats the ``sdot generate`` CSV one row at a
 time. ``exact_cell_masses`` repeats the all-pairs clipping in
 ``fractions.Fraction`` arithmetic, so its cell masses are exact for the
-given float inputs.
-From ``sdot`` the oracle imports only the constants ``DEGENERACY_TOL`` and
-``ADJACENCY_TOL`` and the ``PowerCellStats`` record.
+given float inputs. ``dense_transport_lp`` hands HiGHS every one of the
+m n transport columns at once, where ``sdot.kantorovich.solve_lp`` prices
+columns into a small support; both pass HiGHS the same tolerances.
+From ``sdot`` the oracle imports only the constants ``DEGENERACY_TOL``,
+``ADJACENCY_TOL`` and ``_HIGHS_OPTIONS`` and the ``PowerCellStats`` record.
 """
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from sdot.geometry import DEGENERACY_TOL
+from sdot.kantorovich import _HIGHS_OPTIONS
 from sdot.potential import ADJACENCY_TOL, PowerCellStats
 
 _EMPTY_VERTS = np.zeros((0, 2))
@@ -317,3 +322,18 @@ def loop_generated_rows(samples, idx, points) -> str:
         ycoords = ",".join(repr(float(v)) for v in y)
         out.append(f"{coords},{int(i)},{ycoords}\n")
     return "".join(out)
+
+
+def dense_transport_lp(cost, a, b):
+    """Optimal plan and cost of the transport LP over all m n columns."""
+    m, n = cost.shape
+    A_rows = sparse.kron(sparse.eye(m, format="csr"), np.ones((1, n)), format="csr")
+    A_cols = sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr"), format="csr")
+    A_eq = sparse.vstack([A_rows, A_cols], format="csr")
+    b_eq = np.concatenate([a, b])
+
+    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds", options=_HIGHS_OPTIONS)
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return res.x.reshape(m, n), float(res.fun)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sdot
+from sdot import kantorovich
 from sdot.geometry import MassMismatchError
 from sdot.kantorovich import (
     SizeLimitExceededError,
@@ -15,6 +16,7 @@ from sdot.kantorovich import (
 )
 from sdot.potential import BrenierPotential
 from sdot.solver import transport_cost
+from oracle import dense_transport_lp
 
 
 def brute_force_assignment_cost(cost):
@@ -75,6 +77,90 @@ class TestSolveLp:
         target = sdot.validate_target(rng.standard_normal((n, 2)))
         plan, _ = solve_lp(src, np.full(m, 1 / m), target)
         assert np.count_nonzero(plan.matrix > 1e-9) <= m + n - 1
+
+
+def dumbbell_instance(seed):
+    """The analyse-dumbbell benchmark's LP: 110 dumbbell targets against a
+    24 x 12 jittered grid on [-4, 4] x [-2, 2]."""
+    rng = np.random.default_rng([seed, 0x5503])
+    chunks, got = [], 0
+    while got < 110:
+        cand = rng.uniform((-3.5, -1.0), (3.5, 1.0), size=(220, 2))
+        keep = ((np.hypot(cand[:, 0] + 2.5, cand[:, 1]) <= 1.0)
+                | (np.hypot(cand[:, 0] - 2.5, cand[:, 1]) <= 1.0)
+                | ((np.abs(cand[:, 1]) <= 0.15) & (np.abs(cand[:, 0]) <= 2.5)))
+        chunks.append(cand[keep])
+        got += int(keep.sum())
+    target = sdot.validate_target(np.concatenate(chunks)[:110])
+    ix, iy = np.meshgrid(np.arange(24), np.arange(12), indexing="ij")
+    cells = np.column_stack([ix.ravel(), iy.ravel()])
+    cells = cells + np.random.default_rng([seed, 0x5505]).uniform(size=(288, 2))
+    src = np.array([-4.0, -2.0]) + cells * np.array([8.0 / 24, 4.0 / 12])
+    return src, np.full(288, 1.0 / 288), target
+
+
+def uneven_weights(rng, count):
+    """Weights spread log-uniformly over [1e-4, 1], then normalised."""
+    w = 10.0 ** rng.uniform(-4.0, 0.0, count)
+    return w / w.sum()
+
+
+def box_instance(n, m):
+    rng = np.random.default_rng([n, m])
+    target = sdot.validate_target(rng.uniform(-0.9, 0.9, (n, 2)),
+                                  uneven_weights(rng, n))
+    return rng.uniform(-1.0, 1.0, (m, 2)), uneven_weights(rng, m), target
+
+
+def cluster_instance():
+    rng = np.random.default_rng(40)
+    pts = np.concatenate([rng.normal((-3.0, 0.0), 0.3, (20, 2)),
+                          rng.normal((3.0, 0.0), 0.3, (20, 2))])
+    disk = sdot.disk_domain([0.0, 0.0], 1.0, seed=3)
+    src = sdot.sample_source(disk, 200, rng=rng)
+    return src, np.full(200, 1.0 / 200), sdot.validate_target(pts)
+
+
+PRICED_CASES = (
+    [pytest.param(dumbbell_instance, (seed,), 2, id=f"dumbbell-seed{seed}")
+     for seed in (3, 7919)]
+    + [pytest.param(cluster_instance, (), p, id=f"clusters-p{p}") for p in (1, 2)]
+    + [pytest.param(box_instance, (n, m), p, id=f"box-n{n}-m{m}-p{p}")
+       for n, ms in ((60, (1, 5, 50, 200, 800)), (300, (1, 5, 50, 200)))
+       for m in ms for p in (1, 2)])
+
+
+class TestPricedSupport:
+    @pytest.mark.parametrize("instance, args, exponent", PRICED_CASES)
+    def test_matches_dense_lp(self, instance, args, exponent):
+        src, a, target = instance(*args)
+        cost = cost_matrix(src, target.points, exponent)
+        _, expected = dense_transport_lp(cost, a, target.weights)
+        plan, value = solve_lp(src, a, target, cost_exponent=exponent)
+        assert abs(value - expected) <= 1e-12 * (1 + expected)
+        assert verify_plan(plan, cost)[1].feasible
+        assert plan.dual.max_violation(cost) <= 1e-9
+        assert np.count_nonzero(plan.matrix) <= len(src) + target.n - 1
+
+    def test_pricing_alone_certifies(self, monkeypatch):
+        # from the north-west corner alone, only the reduced-cost rounds can
+        # reach the optimum
+        src, a, target = dumbbell_instance(3)
+        monkeypatch.setattr(kantorovich, "_seed_support",
+                            lambda cost, a, b: kantorovich._north_west_corner(a, b))
+        solves = []
+        real_linprog = kantorovich.linprog
+
+        def spy(*args, **kwargs):
+            solves.append(1)
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(kantorovich, "linprog", spy)
+        _, value = solve_lp(src, a, target)
+        cost = cost_matrix(src, target.points)
+        _, expected = dense_transport_lp(cost, a, target.weights)
+        assert len(solves) >= 2
+        assert abs(value - expected) <= 1e-12 * (1 + expected)
 
 
 class TestDuality:

@@ -232,6 +232,30 @@ class TestSolve:
         assert report.converged
         assert report.final_residual <= 5e-3
 
+    def test_monte_carlo_one_plane_pass_per_stats_call(self, unit_square, monkeypatch):
+        # the frozen samples' plane values give both the cell masses and the
+        # energy, so an accepted trial never evaluates them a second time
+        passes, stats_calls = [], []
+        real_pass = BrenierPotential._reduce_planes
+        real_stats = sdot.solver.mc_cell_stats_from_samples
+
+        def spy_pass(self, *args):
+            passes.append(1)
+            return real_pass(self, *args)
+
+        def spy_stats(*args, **kwargs):
+            stats_calls.append(1)
+            return real_stats(*args, **kwargs)
+
+        monkeypatch.setattr(BrenierPotential, "_reduce_planes", spy_pass)
+        monkeypatch.setattr(sdot.solver, "mc_cell_stats_from_samples", spy_stats)
+        target = sdot.validate_target([(-0.5, 0.0), (0.5, 0.0), (0.0, 0.4)],
+                                      [0.3, 0.3, 0.4])
+        config = SolverConfig(mode="monte-carlo", mc_samples=20000, seed=4)
+        report = solve(unit_square, target, config)
+        assert report.iterations > 0
+        assert len(passes) == len(stats_calls)
+
     def test_monte_carlo_3d(self):
         # exact clipping stops at 2D; higher dimensions go through sampling
         dom = sdot.ball_domain([0.0, 0.0, 0.0], 1.0, seed=6)
