@@ -49,20 +49,46 @@ class ExperimentConfig:
     base_dir: Path = field(default_factory=Path)
 
 
+# typed fields of the "solver" and "render" sections, read by _field
+_SOLVER_FIELDS = {"tolerance": float, "max_iterations": int, "damping": float,
+                  "min_step": float, "mc_samples": int}
+_RENDER_FIELDS = {"size": int, "palette": str, "show_singular_edges": bool,
+                  "show_targets": bool}
+
+
 def _require(spec: dict, key: str, where: str):
     if key not in spec:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return spec[key]
 
 
-def _positive(value, where: str) -> float:
+def _as(value, kind, where: str):
+    """``value`` read as ``kind``; a bool must be JSON true or false."""
     try:
-        v = float(value)
+        if kind is not bool or isinstance(value, bool):
+            return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _positive(value, where: str) -> float:
+    v = _as(value, float, where)
     if v <= 0:
         raise ConfigError(f"{where}: must be positive, got {v}")
     return v
+
+
+def _field(spec: dict, where: str, defaults, kind):
+    """Field ``where`` of ``spec`` (the key is its last dotted part) as ``kind``.
+
+    An absent key takes the default of the dataclass ``defaults``, and null
+    is accepted only where that default is None.
+    """
+    key = where.rsplit(".", 1)[-1]
+    default = getattr(defaults, key)
+    value = spec.get(key, default)
+    return None if value is None and default is None else _as(value, kind, where)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -88,17 +114,13 @@ def load_config(path) -> ExperimentConfig:
         if not target_path.exists():
             raise ConfigError(f"target.file: no such file {target_path}")
 
+    seed = _field(raw, "seed", ExperimentConfig, int)
     solver_spec = dict(raw.get("solver", {}))
+    solver_fields = {key: _field(solver_spec, f"solver.{key}", SolverConfig, kind)
+                     for key, kind in _SOLVER_FIELDS.items()}
     try:
-        solver = SolverConfig(
-            mode=solver_spec.get("mode", "exact-2d"),
-            tolerance=solver_spec.get("tolerance"),
-            max_iterations=int(solver_spec.get("max_iterations", 1000)),
-            damping=float(solver_spec.get("damping", 0.5)),
-            min_step=float(solver_spec.get("min_step", 1e-12)),
-            mc_samples=int(solver_spec.get("mc_samples", 1_000_000)),
-            seed=int(raw.get("seed", 0)),
-        )
+        solver = SolverConfig(mode=solver_spec.get("mode", SolverConfig.mode),
+                              seed=seed, **solver_fields)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 
@@ -107,26 +129,23 @@ def load_config(path) -> ExperimentConfig:
         theta = _positive(theta, "theta")
 
     render_spec = dict(raw.get("render", {}))
-    render = RenderOptions(
-        size=int(render_spec.get("size", 640)),
-        palette=str(render_spec.get("palette", "auto")),
-        show_singular_edges=bool(render_spec.get("show_singular_edges", True)),
-        show_targets=bool(render_spec.get("show_targets", True)),
-    )
+    render = RenderOptions(**{key: _field(render_spec, f"render.{key}", RenderOptions, kind)
+                              for key, kind in _RENDER_FIELDS.items()})
     if render.size <= 0:
         raise ConfigError("render.size: must be positive")
 
-    output_dir = os.environ.get("SDOT_OUTPUT_DIR", raw.get("output_dir", "out"))
+    output_dir = os.environ.get("SDOT_OUTPUT_DIR",
+                                raw.get("output_dir", ExperimentConfig.output_dir))
 
     return ExperimentConfig(
         domain_spec=domain_spec,
         target_spec=target_spec,
         solver=solver,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         theta=theta,
         render=render,
         output_dir=str(output_dir),
-        mass_tolerance=float(raw.get("mass_tolerance", 1e-6)),
+        mass_tolerance=_field(raw, "mass_tolerance", ExperimentConfig, float),
         base_dir=path.parent,
     )
 

@@ -163,8 +163,9 @@ class PowerCellStats:
     domain_area: float | None
     has_facet_measures: bool
     sample_count: int | None = None
-    # Monte Carlo: mean of the envelope over the samples (not serialised)
-    sample_envelope_mean: float | None = None
+    # mean of the envelope u_h over the source (not serialised): exact from
+    # the cell moments in 2D, the sample mean in Monte Carlo mode
+    envelope_mean: float | None = None
 
     @property
     def n(self) -> int:
@@ -271,14 +272,17 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     counts = np.zeros(n, dtype=np.int64)
     verts[hull], counts[hull] = hull_verts, hull_counts
     cells = [verts[i, :counts[i]] for i in range(n)]
-    w = polygon_moments(cells)[:, 0] / area_domain
+    a, sx, sy, _, _ = polygon_moments(cells).T
+    w = a / area_domain
+    envelope = points[:, 0] * sx + points[:, 1] * sy + heights * a
 
     edges = edges[(counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0)]
     i, j = edges[:, 0], edges[:, 1]
     facet, length, segments = _bisector_spans(
         verts[i], counts[i], points[i] - points[j], heights[j] - heights[i], len_tol)
     return PowerCellStats(w, edges[facet], length[facet] / area_domain,
-                          segments[facet], cells, area_domain, True)
+                          segments[facet], cells, area_domain, True,
+                          envelope_mean=float(envelope.sum()) / area_domain)
 
 
 def _candidate_matrix(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -364,7 +368,7 @@ def mc_cell_stats_from_samples(potential: BrenierPotential, pts: np.ndarray,
     facet_pairs = _unique_edges(pairs, potential.n)
     return PowerCellStats(w, facet_pairs, None, None, None, None, False,
                           sample_count=len(pts),
-                          sample_envelope_mean=float(top.mean()))
+                          envelope_mean=float(top.mean()))
 
 
 def legendre_dual(potential: BrenierPotential, domain=None,

@@ -6,6 +6,11 @@ threshold gives a discrete surrogate for the codimension-1 singular set.
 Diagram vertices where at least three flagged facets meet play the role of
 higher-order singular points, and the convex hull of the targets reachable
 around a vertex approximates the subgradient there.
+
+One table identifies the diagram corners: every cell corner and flagged
+facet end is rounded to one grid, and equal rounded points share a corner
+id. Vertices, singular degrees and chains (facets linked through a shared
+end id) all read these ids.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, convex_hull_2d
-from .potential import BrenierPotential, PowerCellStats
+from .potential import BrenierPotential, PowerCellStats, _row_dots
 
 
 class ThresholdNonpositiveError(ValueError):
@@ -53,6 +58,7 @@ class SingularityGraph:
     vertices: list
     theta: float
     target_points: np.ndarray
+    facet_corners: np.ndarray  # (F, 2) corner ids of each flagged facet's ends
 
     def singular_vertices(self) -> list:
         return [v for v in self.vertices if v.is_singular]
@@ -72,21 +78,26 @@ class SingularityGraph:
         }
 
 
+def _target_gaps(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Distance between the two targets of every facet pair."""
+    diff = points[pairs[:, 0]] - points[pairs[:, 1]]
+    return np.sqrt(_row_dots(diff, diff))
+
+
 def default_theta(stats: PowerCellStats, target, factor: float = 3.0) -> float:
     """Calibrated threshold: ``factor`` times the median adjacent-target gap."""
     if len(stats.facet_pairs) == 0:
         return factor
-    pts = target.points
-    gaps = [float(np.linalg.norm(pts[i] - pts[j])) for i, j in stats.facet_pairs]
-    return factor * float(np.median(gaps))
+    return factor * float(np.median(_target_gaps(target.points, stats.facet_pairs)))
 
 
 def detect_singular_facets(stats: PowerCellStats, target, theta: float) -> SingularityGraph:
     """Flag facets whose adjacent targets are farther apart than ``theta``.
 
     Requires exact 2D statistics (facet geometry). Also assembles the
-    diagram vertices (points where at least three cells meet) with their
+    diagram vertices (corners shared by at least three cells) with their
     incident cells, marking as singular those meeting >= 3 flagged facets.
+    Vertices come in the order of their rounded coordinates.
     """
     if theta <= 0:
         raise ThresholdNonpositiveError("theta must be positive")
@@ -94,82 +105,65 @@ def detect_singular_facets(stats: PowerCellStats, target, theta: float) -> Singu
         raise GeometryError("singularity detection needs exact 2D statistics")
 
     pts = target.points
-    facets = []
-    for (i, j), seg in zip(stats.facet_pairs, stats.facet_segments):
-        gap = float(np.linalg.norm(pts[i] - pts[j]))
-        if gap > theta:
-            facets.append(SingularFacet(int(i), int(j), np.array(seg), gap))
+    gaps = _target_gaps(pts, stats.facet_pairs)
+    flagged = np.flatnonzero(gaps > theta)
+    facets = [SingularFacet(int(i), int(j), np.array(seg), float(gap))
+              for (i, j), seg, gap in zip(stats.facet_pairs[flagged],
+                                          stats.facet_segments[flagged], gaps[flagged])]
 
-    vertices = _diagram_vertices(stats, facets)
-    return SingularityGraph(facets, vertices, float(theta), pts)
+    corner_ids, end_ids, corner_points = _corner_table(
+        stats.cells, stats.facet_segments[flagged])
+    n_ids = len(corner_points)
+    cell_of_corner = np.repeat(np.arange(stats.n), [len(c) for c in stats.cells])
+    # distinct (corner, cell) incidences, sorted by corner id then cell
+    incidences = np.unique(np.column_stack([corner_ids, cell_of_corner]), axis=0)
+    cell_counts = np.bincount(incidences[:, 0], minlength=n_ids)
+    cells_at = np.split(incidences[:, 1], np.cumsum(cell_counts)[:-1])
+    # a facet whose two ends share an id counts once at that corner
+    first, second = end_ids.T
+    degrees = (np.bincount(first, minlength=n_ids)
+               + np.bincount(second[second != first], minlength=n_ids)).tolist()
+    vertices = [DiagramVertex(corner_points[v], tuple(cells_at[v].tolist()),
+                              degrees[v], degrees[v] >= 3)
+                for v in np.flatnonzero(cell_counts >= 3)]
+    return SingularityGraph(facets, vertices, float(theta), pts, end_ids)
 
 
-def _quantize(point: np.ndarray, scale: float):
-    return (round(float(point[0]) / scale), round(float(point[1]) / scale))
+def _corner_table(cells: list, ends: np.ndarray):
+    """Corner ids of the cell corners (cells in order) and of ``ends`` (F, 2, 2).
 
-
-def _diagram_vertices(stats: PowerCellStats, facets: list) -> list:
-    corners = {}
-    all_pts = [v for c in stats.cells if len(c) for v in c]
-    if not all_pts:
-        return []
-    span = float(np.abs(np.asarray(all_pts)).max()) + 1.0
-    q = 1e-7 * span
-
-    for idx, cell in enumerate(stats.cells):
-        for v in cell:
-            key = _quantize(v, q)
-            corners.setdefault(key, (np.asarray(v, float), set()))[1].add(idx)
-
-    singular_touch = {}
-    for k, f in enumerate(facets):
-        for end in f.segment:
-            key = _quantize(end, q)
-            singular_touch.setdefault(key, set()).add(k)
-
-    vertices = []
-    for key, (point, cells) in sorted(corners.items()):
-        if len(cells) < 3:
-            continue
-        degree = len(singular_touch.get(key, ()))
-        vertices.append(DiagramVertex(point, tuple(sorted(cells)), degree,
-                                      degree >= 3))
-    return vertices
+    Points share an id when they round to one point of the grid of pitch
+    1e-7 x (largest |cell-corner coordinate| + 1); ids follow the rounded
+    points in lexicographic order. Also returns each id's first point.
+    """
+    corners = np.concatenate(cells)
+    pitch = 1e-7 * (float(np.abs(corners).max(initial=0.0)) + 1.0)
+    points = np.concatenate([corners, ends.reshape(-1, 2)])
+    keys = np.rint(points / pitch).astype(np.int64)
+    _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    ids = ids.reshape(-1)
+    return ids[:len(corners)], ids[len(corners):].reshape(-1, 2), points[first]
 
 
 def singular_chains(graph: SingularityGraph) -> list:
     """Connected components of the flagged facets, as lists of facet indices.
 
-    Facets are linked when they share an endpoint; each component is one
-    discrete singular chain.
+    Facets are linked when they have an end of the same corner id; each
+    component is one discrete singular chain. Each facet takes the least
+    label of the facets at its ends until no label changes.
     """
-    if not graph.facets:
-        return []
-    span = max(float(np.abs(f.segment).max()) for f in graph.facets) + 1.0
-    q = 1e-7 * span
-    point_to_facets = {}
-    for k, f in enumerate(graph.facets):
-        for end in f.segment:
-            point_to_facets.setdefault(_quantize(end, q), []).append(k)
-
-    parent = list(range(len(graph.facets)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for members in point_to_facets.values():
-        for other in members[1:]:
-            ra, rb = find(members[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-
-    groups = {}
-    for k in range(len(graph.facets)):
-        groups.setdefault(find(k), []).append(k)
-    return sorted(groups.values())
+    first, second = graph.facet_corners.T
+    n_ids = int(graph.facet_corners.max(initial=-1)) + 1
+    label = np.arange(len(first))
+    while True:
+        least = np.full(n_ids, len(first))
+        np.minimum.at(least, first, label)
+        np.minimum.at(least, second, label)
+        merged = np.minimum(least[first], least[second])
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    return [np.flatnonzero(label == root).tolist() for root in np.unique(label)]
 
 
 @dataclass(frozen=True)
@@ -202,19 +196,11 @@ def probe_segment(potential: BrenierPotential, domain, graph: SingularityGraph,
     cells = potential.assign_cell(samples)
     changes = np.nonzero(cells[1:] != cells[:-1])[0]
 
-    pts = potential.target.points
-    out = []
-    for k in changes:
-        a, b = int(cells[k]), int(cells[k + 1])
-        jump = float(np.linalg.norm(pts[a] - pts[b]))
-        out.append(Crossing(
-            t=float(0.5 * (ts[k] + ts[k + 1])),
-            from_cell=a,
-            to_cell=b,
-            jump=jump,
-            is_singular=jump > graph.theta,
-        ))
-    return out
+    pairs = np.column_stack([cells[changes], cells[changes + 1]])
+    jumps = _target_gaps(potential.target.points, pairs).tolist()
+    return [Crossing(t=float(0.5 * (ts[k] + ts[k + 1])), from_cell=int(a), to_cell=int(b),
+                     jump=jump, is_singular=jump > graph.theta)
+            for k, (a, b), jump in zip(changes, pairs, jumps)]
 
 
 def cell_subgradient_extent(graph: SingularityGraph, vertex_index: int) -> np.ndarray:

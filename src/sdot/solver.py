@@ -147,18 +147,15 @@ def hessian(stats: PowerCellStats, target: DiscreteTargetMeasure) -> np.ndarray:
 
 
 def _stats_fn_for(domain, target, config: SolverConfig):
-    """Per-mode evaluators: h -> PowerCellStats, and (h, stats) -> F(h).
+    """Per-mode evaluator h -> PowerCellStats.
 
-    F(h) is the mean of the envelope u_h over the source: exact from the
-    clipped cells in 2D, the mean over the frozen samples in Monte Carlo
-    mode.
+    The stats carry F(h), the mean of the envelope u_h over the source:
+    exact from the clipped cells in 2D, the mean over the frozen samples
+    in Monte Carlo mode.
     """
     if config.mode == "exact-2d":
         def stats_fn(h):
             return exact_cell_stats_2d(BrenierPotential(target, h), domain)
-
-        def envelope_fn(h, stats):
-            return _envelope_mean(stats, target.points, h)
     else:
         rng = np.random.default_rng([config.seed, 0x5d07])
         frozen = sample_source(domain, config.mc_samples, rng=rng)
@@ -166,10 +163,7 @@ def _stats_fn_for(domain, target, config: SolverConfig):
         def stats_fn(h):
             return mc_cell_stats_from_samples(BrenierPotential(target, h), frozen,
                                               adjacency_neighbors=0)
-
-        def envelope_fn(h, stats):
-            return stats.sample_envelope_mean
-    return stats_fn, envelope_fn
+    return stats_fn
 
 
 def _voronoi_heights(domain, target) -> np.ndarray:
@@ -208,13 +202,6 @@ def _admissible_start(h, domain, target, stats_fn):
     return h, stats
 
 
-def _envelope_mean(stats: PowerCellStats, points: np.ndarray, h) -> float:
-    """F(h): exact mean of u_h = max_i(<x, y_i> + h_i) over the 2D domain."""
-    a, sx, sy, _, _ = polygon_moments(stats.cells).T
-    total = points[:, 0] * sx + points[:, 1] * sy + h * a
-    return float(total.sum()) / stats.domain_area
-
-
 def energy(potential: BrenierPotential, domain, h_base=None) -> float:
     """Convex energy F(h) - F(h_base) - <h, nu> at the potential's heights.
 
@@ -229,7 +216,7 @@ def energy(potential: BrenierPotential, domain, h_base=None) -> float:
     otherwise :class:`PathLeavesAdmissibleSetError` is raised.
     """
     target = potential.target
-    stats_fn, envelope_fn = _stats_fn_for(domain, target, SolverConfig())
+    stats_fn = _stats_fn_for(domain, target, SolverConfig())
     if h_base is None:
         h_base, base_stats = _admissible_start(np.zeros(potential.n), domain,
                                                target, stats_fn)
@@ -241,7 +228,7 @@ def energy(potential: BrenierPotential, domain, h_base=None) -> float:
     for name, s in (("h_base", base_stats), ("h", stats)):
         if np.any(s.cell_measures <= 0.0):
             raise PathLeavesAdmissibleSetError(f"a cell mass vanishes at {name}")
-    return (envelope_fn(h, stats) - envelope_fn(h_base, base_stats)
+    return (stats.envelope_mean - base_stats.envelope_mean
             - float(h @ target.weights))
 
 
@@ -275,9 +262,9 @@ def solve(domain, target: DiscreteTargetMeasure, config: SolverConfig | None = N
     if config.mode == "exact-2d" and domain.dimension != 2:
         raise DimensionUnsupportedError("exact-2d mode requires a 2D domain")
     tol = config.resolved_tolerance
-    stats_fn, envelope_fn = _stats_fn_for(domain, target, config)
+    stats_fn = _stats_fn_for(domain, target, config)
     h, stats = _admissible_start(h_init, domain, target, stats_fn)
-    h0, f0 = h, envelope_fn(h, stats)
+    h0, f0 = h, stats.envelope_mean
 
     nu = target.weights
     g = stats.cell_measures - nu
@@ -307,7 +294,7 @@ def solve(domain, target: DiscreteTargetMeasure, config: SolverConfig | None = N
         h, stats, g, residual = h_try, stats_try, g_try, res_try
         report.residual_history.append(residual)
         report.energy_history.append(
-            envelope_fn(h, stats) - f0 - float(nu @ (h - h0)))
+            stats.envelope_mean - f0 - float(nu @ (h - h0)))
         report.iterations += 1
 
     report.converged = residual <= tol

@@ -22,6 +22,11 @@ time. ``exact_cell_masses`` repeats the all-pairs clipping in
 given float inputs. ``dense_transport_lp`` hands HiGHS every one of the
 m n transport columns at once, where ``sdot.kantorovich.solve_lp`` prices
 columns into a small support; both pass HiGHS the same tolerances.
+``loop_diagram_vertices`` and ``loop_singular_chains`` key corners in dicts
+of rounded float pairs, the vertices on the cell-corner grid and the chains
+on a grid of their own joined by a union-find; ``sdot.singularity`` numbers
+all corners on one grid with ``np.unique``. On solved diagrams the two
+grids agree, and the tests require equal output there.
 From ``sdot`` the oracle imports only the constants ``DEGENERACY_TOL``,
 ``ADJACENCY_TOL`` and ``_HIGHS_OPTIONS`` and the ``PowerCellStats`` record.
 """
@@ -337,3 +342,67 @@ def dense_transport_lp(cost, a, b):
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return res.x.reshape(m, n), float(res.fun)
+
+
+def _quantize(point: np.ndarray, scale: float):
+    return (round(float(point[0]) / scale), round(float(point[1]) / scale))
+
+
+def loop_diagram_vertices(stats, facets: list) -> list:
+    """Diagram vertices as (point, cells, singular degree, is singular)."""
+    corners = {}
+    all_pts = [v for c in stats.cells if len(c) for v in c]
+    if not all_pts:
+        return []
+    span = float(np.abs(np.asarray(all_pts)).max()) + 1.0
+    q = 1e-7 * span
+
+    for idx, cell in enumerate(stats.cells):
+        for v in cell:
+            key = _quantize(v, q)
+            corners.setdefault(key, (np.asarray(v, float), set()))[1].add(idx)
+
+    singular_touch = {}
+    for k, f in enumerate(facets):
+        for end in f.segment:
+            key = _quantize(end, q)
+            singular_touch.setdefault(key, set()).add(k)
+
+    vertices = []
+    for key, (point, cells) in sorted(corners.items()):
+        if len(cells) < 3:
+            continue
+        degree = len(singular_touch.get(key, ()))
+        vertices.append((point, tuple(sorted(cells)), degree, degree >= 3))
+    return vertices
+
+
+def loop_singular_chains(graph) -> list:
+    """Flagged facets linked by shared endpoints, keyed on their own grid."""
+    if not graph.facets:
+        return []
+    span = max(float(np.abs(f.segment).max()) for f in graph.facets) + 1.0
+    q = 1e-7 * span
+    point_to_facets = {}
+    for k, f in enumerate(graph.facets):
+        for end in f.segment:
+            point_to_facets.setdefault(_quantize(end, q), []).append(k)
+
+    parent = list(range(len(graph.facets)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for members in point_to_facets.values():
+        for other in members[1:]:
+            ra, rb = find(members[0]), find(other)
+            if ra != rb:
+                parent[rb] = ra
+
+    groups = {}
+    for k in range(len(graph.facets)):
+        groups.setdefault(find(k), []).append(k)
+    return sorted(groups.values())

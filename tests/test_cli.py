@@ -56,6 +56,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"solver": {"tolerance": "abc"}}, "solver.tolerance"),
+        ({"solver": {"max_iterations": None}}, "solver.max_iterations"),
+        ({"solver": {"damping": [1]}}, "solver.damping"),
+        ({"render": {"size": "big"}}, "render.size"),
+        ({"mass_tolerance": "x"}, "mass_tolerance"),
+        ({"render": {"show_targets": "no"}}, "render.show_targets"),
+    ], ids=["tolerance", "max-iterations", "damping", "size", "mass-tolerance",
+            "show-targets"])
+    def test_malformed_field_names_field(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, **overrides)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDOT_OUTPUT_DIR", str(tmp_path / "env_out"))
         config = load_config(write_config(tmp_path))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sdot
-from sdot.potential import BrenierPotential, exact_cell_stats_2d
+from sdot.potential import BrenierPotential, PowerCellStats, exact_cell_stats_2d
 from sdot.singularity import (
     PointOutsideDomainError,
     ThresholdNonpositiveError,
@@ -13,6 +13,7 @@ from sdot.singularity import (
     probe_segment,
     singular_chains,
 )
+from oracle import loop_diagram_vertices, loop_singular_chains
 
 
 def segment_cell_intervals(stats, p, q):
@@ -73,6 +74,110 @@ def dumbbell_instance():
     potential = BrenierPotential(target, report.heights)
     stats = exact_cell_stats_2d(potential, domain)
     return domain, target, potential, stats, labels
+
+
+@pytest.fixture(scope="module")
+def three_cluster_instance(unit_disk):
+    """Three far clusters, solved on the unit disk."""
+    rng = np.random.default_rng(53)
+    centers = 6.0 * np.array([[np.cos(a), np.sin(a)]
+                              for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)])
+    pts = np.concatenate([c + rng.uniform(-0.4, 0.4, size=(12, 2))
+                          for c in centers])
+    target = sdot.validate_target(pts)
+    report = sdot.solve(unit_disk, target)
+    assert report.converged
+    stats = exact_cell_stats_2d(BrenierPotential(target, report.heights), unit_disk)
+    return target, stats
+
+
+def benchmark_dumbbell(seed):
+    """The analyse-dumbbell diagram of ``perfbench/workloads.py``: 110
+    targets on two bells of radius 1 at (+-2.5, 0) joined by a bar of
+    width 0.3, solved on [-4, 4] x [-2, 2]."""
+    rng = np.random.default_rng([seed, 0x5503])
+    chunks, got = [], 0
+    while got < 110:
+        cand = rng.uniform([-3.5, -1.0], [3.5, 1.0], size=(220, 2))
+        keep = ((np.hypot(cand[:, 0] + 2.5, cand[:, 1]) <= 1.0)
+                | (np.hypot(cand[:, 0] - 2.5, cand[:, 1]) <= 1.0)
+                | ((np.abs(cand[:, 1]) <= 0.15) & (np.abs(cand[:, 0]) <= 2.5)))
+        chunks.append(cand[keep])
+        got += int(keep.sum())
+    target = sdot.validate_target(np.concatenate(chunks)[:110])
+    domain = sdot.box_domain([[-4.0, 4.0], [-2.0, 2.0]], seed=seed)
+    report = sdot.solve(domain, target)
+    assert report.converged
+    return target, exact_cell_stats_2d(BrenierPotential(target, report.heights), domain)
+
+
+@pytest.fixture(scope="module", params=[
+    "dumbbell", "clusters", "three-clusters", "grid-zero", "grid-solved",
+    "benchmark-3", "benchmark-7919"])
+def diagram(request, dumbbell_instance, cluster_instance, three_cluster_instance,
+            grid25_target, grid25_stats, big_square):
+    """(target, exact stats) of one solved or hand-set diagram."""
+    if request.param == "dumbbell":
+        _, target, _, stats, _ = dumbbell_instance
+        return target, stats
+    if request.param == "clusters":
+        target, _, stats = cluster_instance
+        return target, stats
+    if request.param == "three-clusters":
+        return three_cluster_instance
+    if request.param == "grid-zero":
+        # every cell meets the others at the origin
+        pot = BrenierPotential(grid25_target, np.zeros(25))
+        return grid25_target, exact_cell_stats_2d(pot, big_square)
+    if request.param == "grid-solved":
+        return grid25_target, grid25_stats
+    return benchmark_dumbbell(int(request.param.split("-")[1]))
+
+
+class TestCornerTable:
+    @pytest.mark.parametrize("theta", [None, 0.3], ids=["default-theta", "theta-0.3"])
+    def test_matches_loop_oracle(self, diagram, theta):
+        target, stats = diagram
+        pts = target.points
+        gaps = [float(np.linalg.norm(pts[i] - pts[j])) for i, j in stats.facet_pairs]
+        assert default_theta(stats, target) == 3.0 * float(np.median(gaps))
+        theta = default_theta(stats, target) if theta is None else theta
+        graph = detect_singular_facets(stats, target, theta)
+
+        assert [(f.i, f.j, f.gap) for f in graph.facets] == [
+            (int(i), int(j), gap) for (i, j), gap in zip(stats.facet_pairs, gaps)
+            if gap > theta]
+        want = loop_diagram_vertices(stats, graph.facets)
+        assert len(graph.vertices) == len(want)
+        for vertex, (point, cells, degree, is_singular) in zip(graph.vertices, want):
+            assert vertex.point.tobytes() == point.tobytes()
+            assert (vertex.cells, vertex.singular_degree, vertex.is_singular) == (
+                cells, degree, is_singular)
+        assert singular_chains(graph) == loop_singular_chains(graph)
+
+    def test_facets_counted_at_a_vertex_lie_in_one_chain(self):
+        # three cells meet near (0.5, 0), where the lower flagged facet ends
+        # 2.5e-7 right of the upper one's end: one corner on the 1e-6 grid
+        # of the cell corners (|x| <= 9), two on a 2e-7 grid fitted to the
+        # flagged facet ends alone (|x| <= 1)
+        c = 0.5 + 2.5e-7
+        cells = [np.array([[-9.0, -1.0], [0.5, -1.0], [0.5, 0.0], [0.5, 1.0], [-9.0, 1.0]]),
+                 np.array([[0.5, 0.0], [9.0, 0.0], [9.0, 1.0], [0.5, 1.0]]),
+                 np.array([[0.5, -1.0], [9.0, -1.0], [9.0, 0.0], [c, 0.0]])]
+        segments = np.array([[[0.5, 0.0], [0.5, 1.0]],
+                             [[0.5, -1.0], [c, 0.0]],
+                             [[0.5, 0.0], [9.0, 0.0]]])
+        stats = PowerCellStats(np.full(3, 1.0 / 3.0), np.array([[0, 1], [0, 2], [1, 2]]),
+                               np.array([1.0, 1.0, 8.5]) / 36.0, segments, cells, 36.0, True)
+        target = sdot.validate_target([(-5.0, 0.0), (5.0, 0.5), (5.0, -0.5)])
+        graph = detect_singular_facets(stats, target, 3.0)
+        chains = singular_chains(graph)
+        assert [v.singular_degree for v in graph.vertices] == [2]
+        for vertex in graph.vertices:
+            counted = {k for k, f in enumerate(graph.facets)
+                       if np.abs(f.segment - vertex.point).max(axis=1).min() <= 1e-6}
+            assert len(counted) == vertex.singular_degree
+            assert sum(1 for chain in chains if counted & set(chain)) == 1
 
 
 class TestDetection:
@@ -197,17 +302,9 @@ class TestSubgradientExtent:
             diameter = np.sqrt((diff ** 2).sum(axis=2)).max()
             assert diameter <= 2 * spacing + 1e-9
 
-    def test_three_cluster_branch_vertex(self, unit_disk):
+    def test_three_cluster_branch_vertex(self, three_cluster_instance):
         # three far clusters force a Y-shaped chain with a branch point
-        rng = np.random.default_rng(53)
-        centers = 6.0 * np.array([[np.cos(a), np.sin(a)]
-                                  for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)])
-        pts = np.concatenate([c + rng.uniform(-0.4, 0.4, size=(12, 2))
-                              for c in centers])
-        target = sdot.validate_target(pts)
-        report = sdot.solve(unit_disk, target)
-        assert report.converged
-        stats = exact_cell_stats_2d(BrenierPotential(target, report.heights), unit_disk)
+        target, stats = three_cluster_instance
         graph = detect_singular_facets(stats, target, 3.0)
         singular = graph.singular_vertices()
         assert singular
