@@ -69,7 +69,12 @@ def _as(value, kind, where: str):
             return kind(value)
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    raise ConfigError(f"{where}: expected {kind.__name__.lstrip('_')}, got {value!r}")
+
+
+def _numbers(value) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array."""
+    return np.asarray(value, dtype=float)
 
 
 def _positive(value, where: str) -> float:
@@ -154,17 +159,17 @@ def build_domain(config: ExperimentConfig):
     spec = config.domain_spec
     kind = _require(spec, "kind", "domain")
     if kind == "box":
-        bounds = np.asarray(_require(spec, "bounds", "domain"), dtype=float)
+        bounds = _as(_require(spec, "bounds", "domain"), _numbers, "domain.bounds")
         try:
             return box_domain(bounds, seed=config.seed)
         except ValueError as exc:
             raise ConfigError(f"domain.bounds: {exc}") from None
     if kind in ("disk", "ball"):
-        center = np.asarray(_require(spec, "center", "domain"), dtype=float)
+        center = _as(_require(spec, "center", "domain"), _numbers, "domain.center")
         radius = _positive(_require(spec, "radius", "domain"), "domain.radius")
         return ball_domain(center, radius, seed=config.seed)
     if kind == "polygon":
-        verts = np.asarray(_require(spec, "vertices", "domain"), dtype=float)
+        verts = _as(_require(spec, "vertices", "domain"), _numbers, "domain.vertices")
         try:
             return polygon_domain(verts, seed=config.seed)
         except ValueError as exc:
@@ -251,14 +256,14 @@ def build_target(config: ExperimentConfig, dimension: int):
         return load_target_csv(path, dimension, config.mass_tolerance), None
 
     gen = spec["generator"]
-    seed = spec.get("seed", config.seed)
-    rng = np.random.default_rng([int(seed), 0x7a96])
+    seed = _as(spec.get("seed", config.seed), int, "target.seed")
+    rng = np.random.default_rng([seed, 0x7a96])
     if gen == "grid":
-        return grid_target(int(_require(spec, "k", "target")),
-                           float(spec.get("extent", 1.0)))
+        return grid_target(_as(_require(spec, "k", "target"), int, "target.k"),
+                           _as(spec.get("extent", 1.0), float, "target.extent"))
     if gen == "clusters":
         return cluster_targets(
-            _require(spec, "centers", "target"),
+            _as(_require(spec, "centers", "target"), _numbers, "target.centers"),
             int(_positive(_require(spec, "per_cluster", "target"), "target.per_cluster")),
             _positive(_require(spec, "radius", "target"), "target.radius"),
             rng,

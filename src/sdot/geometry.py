@@ -249,15 +249,24 @@ def _clip_rows(verts, counts, s):
     p, q = verts[r, k], verts[r, k_next]
     t = sp / (sp - sq)
     ring[r, end[r, k] - 1] = p + t[:, None] * (q - p)
-    counts = end[:, -1]
+    return _drop_repeats(ring, end[:, -1])
 
-    # drop cyclically consecutive duplicates; padding zeros leave the max as is
+
+def _drop_repeats(ring, counts):
+    """Drop each vertex of a padded ring within DEGENERACY_TOL of its cyclic predecessor.
+
+    The tolerance scales with 1 + the row's largest coordinate magnitude;
+    padding zeros leave that maximum as it is. Rows are zero-padded on entry
+    and as wide as their longest ring. Returns the packed rows and their
+    counts, 0 for a row left with fewer than 3 vertices.
+    """
     scale = 1.0 + np.abs(ring).max(axis=(1, 2))
     step = np.abs(ring - _ring_prev(ring, counts)).max(axis=2)
     live = np.arange(ring.shape[1]) < counts[:, None]
-    ring, counts = _pack(ring, live & (step > DEGENERACY_TOL * scale[:, None]))
-    counts[counts < 3] = 0
-    return ring, counts
+    keep = live & (step > DEGENERACY_TOL * scale[:, None])
+    if not np.array_equal(keep, live):
+        ring, counts = _pack(ring, keep)
+    return ring, np.where(counts < 3, 0, counts)
 
 
 def _ring_next(x, counts):

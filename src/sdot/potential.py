@@ -12,15 +12,17 @@ the weighted Delaunay (regular) triangulation.
 The exact 2D statistics use the same lower hull (the 1D upper hull for
 collinear targets, the planar hull ring for coplanar lifts): a target has a
 cell exactly when it is a hull vertex, bounded only by its triangulation
-neighbours. Each hull cell is clipped against its neighbours, nearest
-first, facets are sought only among neighbour pairs, and a target off the
-hull is not clipped. The clipping order is one (n, K) candidate matrix,
-padded with -1, and all cells are clipped together by
-``geometry.clip_cells``: round r clips every cell still running against its
-r-th candidate. The facet search then tests every neighbour pair against
-the padded cells in one vectorised pass. ``legendre_dual`` bounds each
-facet chord by the same neighbours, plus the domain edges, and measures
-every chord in one pass.
+neighbours. A cell whose fan of lower triangles closes around its target
+and whose power centres all lie inside the domain is the ring of those
+centres. Every other hull cell is clipped against its neighbours, nearest
+first, and a target off the hull is not built at all. The clipping order is
+one (rows, K) candidate matrix, padded with -1, and the clipped cells are
+clipped together by ``geometry.clip_cells``: round r clips every cell still
+running against its r-th candidate. The facet search then tests every
+neighbour pair against the padded cells in one vectorised pass.
+``legendre_dual`` bounds each facet chord by the same neighbours, plus the
+domain edges where a chord may leave the domain, and measures every chord
+in one pass.
 """
 from __future__ import annotations
 
@@ -34,6 +36,8 @@ from .geometry import (
     DiscreteTargetMeasure,
     GeometryError,
     _cycled,
+    _drop_repeats,
+    _ring_next,
     clip_cells,
     polygon_area,
     polygon_moments,
@@ -120,21 +124,27 @@ class BrenierPotential:
 
         With ``top`` given, the row maxima are written into it in the same
         pass, read at the argmax, so each equals the row's ``np.max``. The
-        batch goes through in blocks of ``_ASSIGN_CHUNK`` rows, each
-        evaluated into one reused buffer, so no (N, n) array is formed. A
-        lone last row joins the block before it: BLAS computes a one-row
-        product with its matrix-vector kernel, which rounds differently
-        (by up to 1.8e-15 on the dumbbell), so that row's values would
-        depend on the batch length.
+        batch goes through in blocks of ``_ASSIGN_CHUNK`` rows. Each block
+        is copied into the first d columns of a reused (rows, d + 1) buffer
+        whose last column is 1, and one matmul with the (d + 1, n) stack of
+        the target points and the heights gives its plane values in a
+        reused buffer, so no (N, n) array is formed and no separate height
+        pass runs. A lone last row joins the block before it: BLAS computes
+        a one-row product with its matrix-vector kernel, which rounds
+        differently (by up to 1.8e-15 on the dumbbell), so that row's values
+        would depend on the batch length.
         """
-        n_pts = len(pts)
+        n_pts, d = pts.shape
         idx = np.empty(n_pts, dtype=np.int64)
-        buf = np.empty((min(n_pts, _ASSIGN_CHUNK + 1), self.n))
-        planes = self.target.points.T
+        rows = min(n_pts, _ASSIGN_CHUNK + 1)
+        buf = np.empty((rows, self.n))
+        lifted = np.ones((rows, d + 1))
+        planes = np.vstack([self.target.points.T, self.heights])
         starts = range(0, max(n_pts - 1, 1), _ASSIGN_CHUNK)
         for start, stop in zip(starts, [*starts[1:], n_pts]):
-            vals = np.matmul(pts[start:stop], planes, out=buf[:stop - start])
-            vals += self.heights
+            block = lifted[:stop - start]
+            block[:, :d] = pts[start:stop]
+            vals = np.matmul(block, planes, out=buf[:stop - start])
             best = np.argmax(vals, axis=1, out=idx[start:stop])
             if top is not None:
                 top[start:stop] = vals[np.arange(stop - start), best]
@@ -241,16 +251,25 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     A power cell is bounded only by the bisectors of its neighbours in the
     regular triangulation: the edges of the lower hull of the lifted points
     (y_i, -h_i), from :func:`_lower_hull_edges` as in :func:`legendre_dual`.
-    Each target on that hull has its cell clipped against its neighbours,
-    nearest first, and facets are sought only among neighbour pairs. A
-    target off the hull has an empty cell everywhere in the plane: its
-    mass is zero and it is not clipped.
+    A target off that hull has an empty cell everywhere in the plane: its
+    mass is zero and it is not built. A hull target gets its cell one of two
+    ways (Aurenhammer 1987):
 
-    The candidate lists form one (n, K) matrix padded with -1, K the
-    largest triangulation degree, and :func:`~sdot.geometry.clip_cells`
-    clips all hull cells together, one round per neighbour rank; a cell
-    leaves the batch when its list ends or it becomes empty. The facet
-    search tests all neighbour pairs at once on the padded cells.
+    - ring: when the target is inside the triangulation and every power
+      centre of its fan of lower triangles lies strictly inside the domain,
+      its cell is the ring of those centres in CCW fan order
+      (:func:`_ring_cells`), with no clipping;
+    - clip: every other hull cell (its target is on the triangulation
+      boundary, a centre is outside or non-finite, or the ring collapses)
+      is clipped from the domain polygon against its neighbours, nearest
+      first. The candidate lists form one (rows, K) matrix padded with -1,
+      K the largest triangulation degree, and
+      :func:`~sdot.geometry.clip_cells` clips these cells together, one
+      round per neighbour rank; a cell leaves the batch when its list ends
+      or it becomes empty.
+
+    Both kinds of cell fill one padded vertex array. Facets are sought only
+    among neighbour pairs, tested all at once on the padded cells.
     """
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
@@ -263,14 +282,26 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     diam = float(np.linalg.norm(base_verts.max(axis=0) - base_verts.min(axis=0)))
     len_tol = adjacency_tol * (1.0 + diam)
 
-    edges, hull = _lower_hull_edges(points, heights)
-    # clip_cells numbers its sites by row: renumber the (sorted) hull targets
-    hull_verts, hull_counts = clip_cells(
-        base_verts, points[hull], heights[hull],
-        _candidate_matrix(points[hull], np.searchsorted(hull, edges)))
-    verts = np.zeros((n, *hull_verts.shape[1:]))
+    edges, hull, triangles = _lower_hull_edges(points, heights)
+    ring_ids, ring_verts, ring_counts = _ring_cells(
+        points, heights, edges, triangles, base_verts, len_tol)
+    clipped = np.zeros(n, dtype=bool)
+    clipped[hull] = True
+    clipped[ring_ids] = False
+    # clip_cells numbers its sites by row: put the clipped targets first
+    order = np.argsort(~clipped, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    candidates = _candidate_matrix(points, edges)[clipped]
+    clip_verts, clip_counts = clip_cells(
+        base_verts, points[order], heights[order],
+        np.where(candidates < 0, -1, rank[candidates]))
+
+    width = max(clip_verts.shape[1], ring_verts.shape[1])
+    verts = np.zeros((n, width, 2))
     counts = np.zeros(n, dtype=np.int64)
-    verts[hull], counts[hull] = hull_verts, hull_counts
+    verts[clipped, :clip_verts.shape[1]], counts[clipped] = clip_verts, clip_counts
+    verts[ring_ids, :ring_verts.shape[1]], counts[ring_ids] = ring_verts, ring_counts
     cells = [verts[i, :counts[i]] for i in range(n)]
     a, sx, sy, _, _ = polygon_moments(cells).T
     w = a / area_domain
@@ -283,6 +314,84 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     return PowerCellStats(w, edges[facet], length[facet] / area_domain,
                           segments[facet], cells, area_domain, True,
                           envelope_mean=float(envelope.sum()) / area_domain)
+
+
+def _ring_cells(points, heights, edges, triangles, domain_verts, margin):
+    """Power cells that are the ring of their fan's power centres.
+
+    The power centre of a lower triangle (a, b, c) is the point where the
+    planes of a, b and c meet: ``<x, y_b - y_a> = h_a - h_b`` and
+    ``<x, y_c - y_a> = h_a - h_c``, one batched 2x2 solve by Cramer's rule
+    (non-finite for a degenerate triangle). A target qualifies when it is
+    inside the triangulation (as many triangles as edges, so its fan
+    closes) and every centre of its fan lies inside the domain polygon by
+    more than ``margin``. Its ring is the fan's centres in CCW order around
+    the target, sorted by the direction of each triangle's centroid. As in
+    :func:`~sdot.geometry.clip_cells`, a vertex within DEGENERACY_TOL * (1 +
+    largest coordinate magnitude) of its cyclic predecessor is dropped;
+    repeated centres come from cocircular fans. A ring that keeps fewer
+    than 3 vertices, or whose fan ring has no positive area, is left out.
+
+    Returns the sorted target ids, their zero-padded (R, W, 2) rings and
+    the (R,) vertex counts.
+    """
+    n = len(points)
+    fan = np.bincount(triangles.ravel(), minlength=n)
+    ring = fan == np.bincount(edges.ravel(), minlength=n)
+    ring &= fan > 0
+    corners = points[triangles]
+    d1 = corners[:, 1] - corners[:, 0]
+    d2 = corners[:, 2] - corners[:, 0]
+    lift = heights[triangles]
+    r1 = lift[:, 0] - lift[:, 1]
+    r2 = lift[:, 0] - lift[:, 2]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centres = np.column_stack([r1 * d2[:, 1] - r2 * d1[:, 1],
+                                   d1[:, 0] * r2 - d2[:, 0] * r1]) / det[:, None]
+    ring[triangles[~_inside_convex(domain_verts, centres, margin)]] = False
+    ids = np.flatnonzero(ring)
+    if not len(ids):
+        return ids, np.zeros((0, 0, 2)), ids
+
+    # the fan incidences (target, triangle) of ring targets, in CCW order
+    owner = triangles.ravel()
+    tri = np.flatnonzero(ring[owner]) // 3
+    owner = owner[ring[owner]]
+    mid = corners.sum(axis=1)[tri] - 3.0 * points[owner]
+    order = np.lexsort((np.arctan2(mid[:, 1], mid[:, 0]), owner))
+    counts = fan[ids]
+    row = np.repeat(np.arange(len(ids)), counts)
+    verts = np.zeros((len(ids), counts.max(initial=0), 2))
+    verts[row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]] = centres[tri[order]]
+    nxt = _ring_next(verts, counts)
+    area2 = np.sum(verts[:, :, 0] * nxt[:, :, 1] - verts[:, :, 1] * nxt[:, :, 0], axis=1)
+    verts, counts = _drop_repeats(verts, counts)
+    good = (counts > 0) & (area2 > 0.0)
+    return ids[good], verts[good], counts[good]
+
+
+def _inside_convex(verts, pts, margin):
+    """Whether each point lies inside the CCW convex polygon by more than ``margin``.
+
+    Seen from the vertex mean, the vertex directions turn once around the
+    polygon, so one ``searchsorted`` of a point's direction among them finds
+    the wedge that holds it, and the point is inside when it is on the inner
+    side of that wedge's edge. Non-finite points are outside.
+    """
+    o = verts.mean(axis=0)
+    angle = np.arctan2(verts[:, 1] - o[1], verts[:, 0] - o[0])
+    turn = np.argsort(angle)
+    edge = _cycled(verts) - verts
+    rel = pts - o
+    with np.errstate(invalid="ignore"):
+        # wedge p lies between the p-th and (p + 1)-th smallest vertex
+        # directions; a direction below the smallest wraps to the last (-1)
+        k = turn[np.searchsorted(angle[turn], np.arctan2(rel[:, 1], rel[:, 0]),
+                                 side="right") - 1]
+        cross = edge[k, 0] * (pts[:, 1] - verts[k, 1]) - edge[k, 1] * (pts[:, 0] - verts[k, 0])
+        inside = cross > margin * np.hypot(edge[k, 0], edge[k, 1])
+    return inside & np.isfinite(pts).all(axis=1)
 
 
 def _candidate_matrix(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -394,7 +503,7 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     heights = potential.heights
     n = potential.n
 
-    edges, hull = _lower_hull_edges(points, heights)
+    edges, hull, _ = _lower_hull_edges(points, heights)
 
     if domain is not None and len(edges):
         base = domain.clip_polygon().vertices
@@ -418,6 +527,10 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
     regular-triangulation neighbours of i and the domain edges bound. Each
     bound restricts the line parameter to an interval; all edges are
     measured in one pass, independently of the polygon-clipping pipeline.
+    The domain edges are applied only to chords that the neighbours leave
+    unbounded, or with an end outside the polygon's inscribed circle about
+    its vertex mean (shrunk by the adjacency tolerance): inside it no domain
+    edge can cut the chord.
     """
     i, j = edges[:, 0], edges[:, 1]
     u = points[i] - points[j]
@@ -431,23 +544,44 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
     nbrs = _candidate_matrix(points, edges)[i]
     nbrs = np.where((nbrs < 0) | (nbrs == j[:, None]), i[:, None], nbrs)
     a = points[i][:, None, :] - points[nbrs]
-    r_pts = (heights[nbrs] - heights[i][:, None]) - _row_dots(a, p0[:, None])
+    r = (heights[nbrs] - heights[i][:, None]) - _row_dots(a, p0[:, None])
+    lo, hi, blocked = _chord_interval(r, _row_dots(a, direction[:, None]))
+
     # inward side of a CCW domain edge: cross(edge, x - v) >= 0,
     # i.e. <a, p0 + t*dir - v> >= 0  ->  t*s >= <a, v - p0>
     edge = _cycled(domain_verts) - domain_verts
     a_dom = np.column_stack([-edge[:, 1], edge[:, 0]])
-    r = np.concatenate([r_pts, _row_dots(a_dom, domain_verts - p0[:, None])], axis=1)
-    s = np.concatenate([_row_dots(a, direction[:, None]),
-                        _row_dots(a_dom, direction[:, None])], axis=1)
+    centre = domain_verts.mean(axis=0)
+    diam = float(np.linalg.norm(domain_verts.max(axis=0) - domain_verts.min(axis=0)))
+    radius = np.min(_row_dots(a_dom, centre - domain_verts) / np.hypot(*edge.T))
+    radius = max(radius - ADJACENCY_TOL * (1.0 + diam), 0.0)
+    bounded = np.isfinite(lo) & np.isfinite(hi)
+    ends = p0[:, None] + np.where(bounded, [lo, hi], 0.0).T[:, :, None] * direction[:, None]
+    inside = bounded & np.all(np.sum((ends - centre) ** 2, axis=2) < radius * radius, axis=1)
+    cut = np.flatnonzero(~blocked & (lo < hi) & ~inside)
+    if len(cut):
+        lo_dom, hi_dom, blocked[cut] = _chord_interval(
+            _row_dots(a_dom, domain_verts - p0[cut, None]),
+            _row_dots(a_dom, direction[cut, None]))
+        lo[cut] = np.maximum(lo[cut], lo_dom)
+        hi[cut] = np.minimum(hi[cut], hi_dom)
+    ok = ~blocked & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
+    return np.where(ok, hi - lo, 0.0)
 
+
+def _chord_interval(r, s):
+    """Line-parameter interval [lo, hi] left by the row constraints t*s >= r.
+
+    A parallel constraint (|s| <= 1e-15) bounds neither end and blocks the
+    row when r > 0. Returns lo, hi and the blocked mask, one entry per row.
+    """
     parallel = np.abs(s) <= 1e-15
     blocked = np.any(parallel & (r > 0), axis=1)
-    s[parallel] = np.nan  # a parallel constraint bounds neither end
+    s[parallel] = np.nan
     t = np.divide(r, s, out=r)  # r is not needed again
     lo = t.max(axis=1, where=s > 0, initial=-np.inf)
     hi = t.min(axis=1, where=s < 0, initial=np.inf)
-    ok = ~blocked & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
-    return np.where(ok, hi - lo, 0.0)
+    return lo, hi, blocked
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -502,14 +636,17 @@ def _unique_edges(pairs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
-    """Sorted lower-hull edges (i < j) and the sorted targets with a cell.
+    """Sorted lower-hull edges (i < j), the sorted targets with a cell, and the lower triangles.
 
-    Collinear targets use the 1D upper hull of (<y_i, u>, h_i) along their
-    line direction u; coplanar lifted points give the planar hull ring.
+    The triangles are the (k, 3) lower facets of :func:`_lower_facets`, from
+    its one qhull call. Collinear targets use the 1D upper hull of
+    (<y_i, u>, h_i) along their line direction u; coplanar lifted points
+    give the planar hull ring. Neither has triangles.
     """
     n = len(points)
+    none = np.zeros((0, 3), dtype=np.int64)
     if n == 1:
-        return np.zeros((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64), none
     u = _collinear_direction(points)
     if u is not None:
         # a target below its neighbours' chord has no cell, and consecutive
@@ -525,16 +662,18 @@ def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
                     break
                 hull.pop()
             hull.append(k)
-        return _unique_edges(np.column_stack([hull[:-1], hull[1:]]), n), np.sort(hull)
+        return (_unique_edges(np.column_stack([hull[:-1], hull[1:]]), n), np.sort(hull),
+                none)
 
     triangles = _lower_facets(points, heights)
     if triangles is None:
         # lifted points coplanar: the dual is linear, only the planar hull
         # ring of the targets carries cells
         ring = ConvexHull(points).vertices.astype(np.int64)
-        return _unique_edges(np.column_stack([ring, np.roll(ring, -1)]), n), np.sort(ring)
+        return (_unique_edges(np.column_stack([ring, np.roll(ring, -1)]), n), np.sort(ring),
+                none)
 
     if not len(triangles):
         raise GeometryError("no lower hull facets found")
     return (_unique_edges(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), n),
-            np.unique(triangles))
+            np.unique(triangles), triangles)

@@ -71,6 +71,21 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"target": {"generator": "grid", "k": "abc"}}, "target.k"),
+        ({"target": {"generator": "grid", "k": 3, "extent": "x"}}, "target.extent"),
+        ({"target": {"generator": "grid", "k": 3, "seed": "x"}}, "target.seed"),
+        ({"target": {**CLUSTER_TARGET, "centers": "abc"}}, "target.centers"),
+        ({"domain": {"kind": "box", "bounds": "abc"}}, "domain.bounds"),
+        ({"domain": {"kind": "disk", "center": ["a", 0], "radius": 1.0}}, "domain.center"),
+        ({"domain": {"kind": "polygon", "vertices": [[0, 0], "x"]}}, "domain.vertices"),
+    ], ids=["k", "extent", "target-seed", "centers", "bounds", "center", "vertices"])
+    def test_malformed_domain_or_target_names_field(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, **overrides)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDOT_OUTPUT_DIR", str(tmp_path / "env_out"))
         config = load_config(write_config(tmp_path))

@@ -4,14 +4,19 @@
 triangulation neighbours. These tests compare it with the brute-force
 clipper in ``oracle.py`` on generic and degenerate inputs, over a box, the
 256-gon disk and a polygon domain, and on affine lifts with the exact
-rational clipper there.
+rational clipper there. Cells inside the domain are rings of power
+centres and never reach the clipper; the spies below check which rows do.
 """
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
 import sdot
 import sdot.potential
 from sdot.potential import (
+    ADJACENCY_TOL,
     BrenierPotential,
     _facet_chord_lengths,
     _lower_facets,
@@ -160,7 +165,7 @@ def test_hidden_targets_match_oracle(monkeypatch, domain_name, sigma):
         pot = BrenierPotential(target, heights)
         got = assert_matches_oracle(pot, domain)
         assert legendre_dual(pot, domain=domain).edge_set() == got.adjacency_set()
-        edges, hull = _lower_hull_edges(target.points, heights)
+        edges, hull, _ = _lower_hull_edges(target.points, heights)
         assert widths.pop() <= np.bincount(edges.ravel()).max()
         hidden += 20 - len(hull)
     assert hidden > 0
@@ -194,3 +199,107 @@ def test_hessian_matches_loop(duality_instances):
     for pot in duality_instances[:5]:
         stats = exact_cell_stats_2d(pot, DOMAINS["box"])
         assert np.array_equal(hessian(stats, pot.target), loop_hessian(stats, pot.target))
+
+
+def clipped_targets(monkeypatch, target):
+    """Spy on ``clip_cells``: per call, the set of targets whose rows it clips."""
+    clip_cells = sdot.potential.clip_cells
+    calls = []
+
+    def spy(base_verts, points, heights, candidates):
+        sites = np.asarray(points)[:len(candidates)]
+        calls.append({int(np.flatnonzero((target.points == y).all(axis=1))[0])
+                      for y in sites})
+        return clip_cells(base_verts, points, heights, candidates)
+
+    monkeypatch.setattr(sdot.potential, "clip_cells", spy)
+    return calls
+
+
+def boundary_and_outside(potential, domain, margin):
+    """Targets on the triangulation boundary, and targets with a lower
+    triangle whose power centre is not inside the domain by more than
+    ``margin``; one triangle at a time."""
+    points, heights = potential.target.points, potential.heights
+    verts = domain.clip_polygon().vertices
+    edge = np.roll(verts, -1, axis=0) - verts
+    uses = collections.Counter()
+    outside = set()
+    for tri in _lower_facets(points, heights):
+        for pair in itertools.combinations(sorted(tri.tolist()), 2):
+            uses[pair] += 1
+        y, h = points[tri], heights[tri]
+        centre = np.linalg.solve(y[1:] - y[0], h[0] - h[1:])
+        rel = centre - verts
+        dist = (edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0]) / np.linalg.norm(edge, axis=1)
+        if dist.min() <= margin:
+            outside.update(tri.tolist())
+    boundary = {k for pair, count in uses.items() if count == 1 for k in pair}
+    return boundary, outside
+
+
+def test_ring_cells_never_reach_the_clipper(monkeypatch, cluster_instance, unit_disk):
+    target, potential, _ = cluster_instance
+    calls = clipped_targets(monkeypatch, target)
+    got = assert_matches_oracle(potential, unit_disk)
+    (clipped,) = calls
+    boundary, outside = boundary_and_outside(potential, unit_disk, 3.0 * ADJACENCY_TOL)
+    assert clipped == boundary | outside
+    hull = set(np.unique(_lower_facets(target.points, potential.heights)).tolist())
+    rings = hull - clipped
+    assert len(rings) >= 5
+    assert all(len(got.cells[i]) >= 3 for i in rings)
+
+
+def test_one_qhull_call_per_stats_call(monkeypatch, cluster_instance, unit_disk):
+    _, potential, _ = cluster_instance
+    convex_hull = sdot.potential.ConvexHull
+    hulls = []
+
+    def spy(*args, **kwargs):
+        hulls.append(args)
+        return convex_hull(*args, **kwargs)
+
+    monkeypatch.setattr(sdot.potential, "ConvexHull", spy)
+    for _ in range(3):
+        exact_cell_stats_2d(potential, unit_disk)
+    assert len(hulls) == 3
+
+
+def test_cocircular_fans_drop_repeated_centres(monkeypatch):
+    """On the 5 x 5 grid with paraboloid heights both triangles of a grid
+    square share one power centre: each inner cell keeps 4 of its fan's
+    centres, and only the 16 outer targets are clipped."""
+    pot = degenerate_cases()["grid25-cocircular"]
+    calls = clipped_targets(monkeypatch, pot.target)
+    got = assert_matches_oracle(pot, DOMAINS["box"])
+    inner = {i for i, y in enumerate(pot.target.points) if np.abs(y).max() < 1.0}
+    assert len(inner) == 9
+    assert calls == [set(range(25)) - inner]
+    fans = np.bincount(_lower_facets(pot.target.points, pot.heights).ravel())
+    assert fans[sorted(inner)].sum() > 4 * len(inner)
+    for i in inner:
+        assert len(got.cells[i]) == 4
+
+
+def test_centre_on_domain_boundary_goes_to_clipper(monkeypatch):
+    """A fan of five triangles about the origin; one power centre lies on a
+    domain edge, or 1e-12 inside it. That cell is clipped; with the edge
+    moved out by 0.01 it is a ring."""
+    angles = 2.0 * np.pi * np.arange(5) / 5.0
+    pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
+    target = sdot.validate_target(pts)
+    pot = BrenierPotential(target, -0.5 * np.sum(pts ** 2, axis=1))
+    y, h = pts[[0, 1, 2]], pot.heights[[0, 1, 2]]
+    centre = np.linalg.solve(y[1:] - y[0], h[0] - h[1:])
+    normal = centre / np.linalg.norm(centre)
+    along = np.array([-normal[1], normal[0]])
+    calls = clipped_targets(monkeypatch, target)
+    for shift, is_ring in [(0.0, False), (1e-12, False), (0.01, True)]:
+        edge_mid = centre + shift * normal
+        domain = sdot.polygon_domain([edge_mid - 3.0 * along, edge_mid + 3.0 * along,
+                                      edge_mid + 3.0 * along - 4.0 * normal,
+                                      edge_mid - 3.0 * along - 4.0 * normal])
+        got = assert_matches_oracle(pot, domain)
+        assert (0 not in calls.pop()) == is_ring
+        assert len(got.cells[0]) == 5
