@@ -13,8 +13,10 @@ multiscale scheme, J. Math. Imaging Vis. 2016):
   a rough entropic (Sinkhorn) plan, joined with the north-west-corner
   staircase, which makes the restricted LP feasible;
 - the restricted LP's duals give the reduced cost c_ij - phi_i - psi_j of
-  every column of the full cost matrix, and every column with a negative
-  reduced cost joins the support before the next solve.
+  every column of the full cost matrix, and the columns with a negative
+  reduced cost join the support before the next solve: all of them, or
+  the m + n most negative when more price out, so a poor seed cannot pull
+  most of the full LP into one restricted solve.
 
 The loop stops only when no column prices out, so the restricted optimum
 is dual feasible for the full LP and hence optimal: the seed decides the
@@ -138,6 +140,9 @@ def solve_lp(source_points, source_weights, target: DiscreteTargetMeasure,
         new_rows, new_cols = np.nonzero(reduced < -_PRICE_TOL * (1.0 + np.abs(cost)))
         if not len(new_rows):
             break
+        if len(new_rows) > m + n:
+            best = np.sort(np.argpartition(reduced[new_rows, new_cols], m + n - 1)[:m + n])
+            new_rows, new_cols = new_rows[best], new_cols[best]
         rows, cols = np.concatenate([rows, new_rows]), np.concatenate([cols, new_cols])
 
     matrix = np.zeros((m, n))

@@ -240,7 +240,8 @@ class DualTriangulation:
 
 
 def exact_cell_stats_2d(potential: BrenierPotential, domain,
-                        adjacency_tol: float = ADJACENCY_TOL) -> PowerCellStats:
+                        adjacency_tol: float = ADJACENCY_TOL, *,
+                        triangulation=None) -> PowerCellStats:
     """Exact power-diagram statistics on a 2D domain.
 
     Cell masses are clipped polygon areas over the domain area; the facet
@@ -270,6 +271,12 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
 
     Both kinds of cell fill one padded vertex array. Facets are sought only
     among neighbour pairs, tested all at once on the padded cells.
+
+    ``triangulation``, when given, is the ``(edges, hull, triangles)``
+    triple that :func:`_lower_hull_edges` returned for these targets and
+    heights. It is used instead of a qhull call of its own, so a caller that
+    already needed the triangulation (the solver, to reject heights that
+    hide a target) pays for one qhull call per diagram.
     """
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
@@ -282,7 +289,9 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     diam = float(np.linalg.norm(base_verts.max(axis=0) - base_verts.min(axis=0)))
     len_tol = adjacency_tol * (1.0 + diam)
 
-    edges, hull, triangles = _lower_hull_edges(points, heights)
+    if triangulation is None:
+        triangulation = _lower_hull_edges(points, heights)
+    edges, hull, triangles = triangulation
     ring_ids, ring_verts, ring_counts = _ring_cells(
         points, heights, edges, triangles, base_verts, len_tol)
     clipped = np.zeros(n, dtype=bool)
@@ -292,7 +301,7 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     order = np.argsort(~clipped, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    candidates = _candidate_matrix(points, edges)[clipped]
+    candidates = _candidate_matrix(points, edges, np.flatnonzero(clipped))
     clip_verts, clip_counts = clip_cells(
         base_verts, points[order], heights[order],
         np.where(candidates < 0, -1, rank[candidates]))
@@ -394,22 +403,28 @@ def _inside_convex(verts, pts, margin):
     return inside & np.isfinite(pts).all(axis=1)
 
 
-def _candidate_matrix(points: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Clipping order of every cell as an (n, K) matrix padded with -1.
+def _candidate_matrix(points: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Clipping order of the targets ``rows`` as a (len(rows), K) matrix padded with -1.
 
-    Row i lists the regular-triangulation neighbours of target i in
-    ``edges``, nearest first with ties by index; K is the largest degree.
+    Row k lists the regular-triangulation neighbours of target rows[k] in
+    ``edges``, nearest first with ties by index; K is the largest degree
+    among the requested targets. Only the edges at those targets are
+    sorted; a target may be requested more than once.
     """
-    n = len(points)
+    ids, slot = np.unique(rows, return_inverse=True)
+    pos = np.full(len(points), -1, dtype=np.int64)
+    pos[ids] = np.arange(len(ids))
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    wanted = pos[src] >= 0
+    src, dst = src[wanted], dst[wanted]
     gap2 = np.sum((points[src] - points[dst]) ** 2, axis=1)
     order = np.lexsort((dst, gap2, src))
-    src, dst = src[order], dst[order]
-    bounds = np.searchsorted(src, np.arange(n + 1))
-    candidates = np.full((n, int(np.diff(bounds).max(initial=0))), -1, dtype=np.int64)
+    src, dst = pos[src[order]], dst[order]
+    bounds = np.searchsorted(src, np.arange(len(ids) + 1))
+    candidates = np.full((len(ids), int(np.diff(bounds).max(initial=0))), -1, dtype=np.int64)
     candidates[src, np.arange(len(src)) - bounds[src]] = dst
-    return candidates
+    return candidates[slot]
 
 
 def _bisector_spans(verts, counts, u, c, len_tol):
@@ -541,7 +556,7 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
 
     # each constraint reads t*s >= r on the line p0 + t*direction; padding
     # and j itself map to i, a zero row that is parallel with r = 0
-    nbrs = _candidate_matrix(points, edges)[i]
+    nbrs = _candidate_matrix(points, edges, i)
     nbrs = np.where((nbrs < 0) | (nbrs == j[:, None]), i[:, None], nbrs)
     a = points[i][:, None, :] - points[nbrs]
     r = (heights[nbrs] - heights[i][:, None]) - _row_dots(a, p0[:, None])

@@ -14,6 +14,12 @@ construction, or from the caller's heights when those are admissible.
 Exact 2D mode uses Newton steps on the facet-mass Hessian with a damped
 line search; Monte Carlo mode falls back to safeguarded gradient descent on
 frozen samples.
+
+In exact mode every trial height vector first gets its regular
+triangulation, the lower hull of the lifted targets (one qhull call). A
+target off that hull has an empty cell everywhere in the plane
+(Aurenhammer 1987), so the trial is rejected there and no cell is built;
+otherwise the diagram is built from the same triangulation.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ from .geometry import (
 from .potential import (
     BrenierPotential,
     PowerCellStats,
+    _lower_hull_edges,
     _row_dots,
     exact_cell_stats_2d,
     mc_cell_stats_from_samples,
@@ -147,15 +154,23 @@ def hessian(stats: PowerCellStats, target: DiscreteTargetMeasure) -> np.ndarray:
 
 
 def _stats_fn_for(domain, target, config: SolverConfig):
-    """Per-mode evaluator h -> PowerCellStats.
+    """Per-mode evaluator h -> PowerCellStats, or None for an empty cell.
 
     The stats carry F(h), the mean of the envelope u_h over the source:
     exact from the clipped cells in 2D, the mean over the frozen samples
-    in Monte Carlo mode.
+    in Monte Carlo mode. In 2D the evaluator first computes the regular
+    triangulation of (target, h). When a target is not a vertex of it, its
+    cell is empty and the evaluator returns None without building the
+    diagram; otherwise the triangulation is passed on, so each evaluation
+    makes one qhull call.
     """
     if config.mode == "exact-2d":
         def stats_fn(h):
-            return exact_cell_stats_2d(BrenierPotential(target, h), domain)
+            potential = BrenierPotential(target, h)
+            triangulation = _lower_hull_edges(target.points, potential.heights)
+            if len(triangulation[1]) < target.n:
+                return None
+            return exact_cell_stats_2d(potential, domain, triangulation=triangulation)
     else:
         rng = np.random.default_rng([config.seed, 0x5d07])
         frozen = sample_source(domain, config.mc_samples, rng=rng)
@@ -164,6 +179,11 @@ def _stats_fn_for(domain, target, config: SolverConfig):
             return mc_cell_stats_from_samples(BrenierPotential(target, h), frozen,
                                               adjacency_neighbors=0)
     return stats_fn
+
+
+def _has_empty_cell(stats) -> bool:
+    """Whether an evaluation (stats, or None from the hull test) has an empty cell."""
+    return stats is None or bool(np.any(stats.cell_measures <= 0.0))
 
 
 def _voronoi_heights(domain, target) -> np.ndarray:
@@ -192,11 +212,11 @@ def _admissible_start(h, domain, target, stats_fn):
     if h is not None:
         h = np.array(h, dtype=float)
         stats = stats_fn(h)
-        if np.all(stats.cell_measures > 0.0):
+        if not _has_empty_cell(stats):
             return h, stats
     h = _voronoi_heights(domain, target)
     stats = stats_fn(h)
-    if np.any(stats.cell_measures <= 0.0):
+    if _has_empty_cell(stats):
         raise InitialPointOutsideHError(
             "scaled-Voronoi heights leave an empty cell")
     return h, stats
@@ -226,7 +246,7 @@ def energy(potential: BrenierPotential, domain, h_base=None) -> float:
     h = potential.heights
     stats = stats_fn(h)
     for name, s in (("h_base", base_stats), ("h", stats)):
-        if np.any(s.cell_measures <= 0.0):
+        if _has_empty_cell(s):
             raise PathLeavesAdmissibleSetError(f"a cell mass vanishes at {name}")
     return (stats.envelope_mean - base_stats.envelope_mean
             - float(h @ target.weights))
@@ -254,9 +274,11 @@ def solve(domain, target: DiscreteTargetMeasure, config: SolverConfig | None = N
     Exact 2D mode performs damped Newton steps on the facet-mass Hessian;
     Monte Carlo mode descends along the negative gradient. Either way the
     step is halved until all cells keep positive mass and the max-norm
-    residual decreases. The start is ``h_init`` when every cell has mass
-    there, else scaled-Voronoi heights. The reported heights are
-    gauge-normalized so the smallest is zero.
+    residual decreases. In exact mode a trial whose heights hide a target
+    (the target is off the lower hull of the lifted targets) is rejected
+    from that one qhull call, before any cell is built. The start is
+    ``h_init`` when every cell has mass there, else scaled-Voronoi heights.
+    The reported heights are gauge-normalized so the smallest is zero.
     """
     config = config or SolverConfig()
     if config.mode == "exact-2d" and domain.dimension != 2:
@@ -282,10 +304,11 @@ def solve(domain, target: DiscreteTargetMeasure, config: SolverConfig | None = N
         while lam >= config.min_step:
             h_try = h + lam * direction
             stats_try = stats_fn(h_try)
-            g_try = stats_try.cell_measures - nu
-            res_try = float(np.abs(g_try).max())
-            if np.all(stats_try.cell_measures > 0.0) and res_try < residual:
-                break
+            if not _has_empty_cell(stats_try):
+                g_try = stats_try.cell_measures - nu
+                res_try = float(np.abs(g_try).max())
+                if res_try < residual:
+                    break
             lam *= config.damping
         else:
             report.step_underflow = True

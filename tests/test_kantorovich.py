@@ -163,6 +163,28 @@ class TestPricedSupport:
         assert abs(value - expected) <= 1e-12 * (1 + expected)
 
 
+    def test_pricing_round_adds_at_most_m_plus_n(self, monkeypatch):
+        # from the north-west corner, thousands of columns price out at
+        # once; a round takes only the m + n most negative of them
+        src, a, target = dumbbell_instance(3)
+        monkeypatch.setattr(kantorovich, "_seed_support",
+                            lambda cost, a, b: kantorovich._north_west_corner(a, b))
+        sizes = []
+        real_linprog = kantorovich.linprog
+
+        def spy(c, *args, **kwargs):
+            sizes.append(len(c))
+            return real_linprog(c, *args, **kwargs)
+
+        monkeypatch.setattr(kantorovich, "linprog", spy)
+        _, value = solve_lp(src, a, target)
+        cost = cost_matrix(src, target.points)
+        _, expected = dense_transport_lp(cost, a, target.weights)
+        assert len(sizes) >= 3
+        assert np.diff(sizes).max() <= len(src) + target.n
+        assert abs(value - expected) <= 1e-12 * (1 + expected)
+
+
 class TestDuality:
     def test_strong_duality(self):
         rng = np.random.default_rng(8)

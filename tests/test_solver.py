@@ -3,7 +3,14 @@ import pytest
 from scipy import stats as scipy_stats
 
 import sdot
-from sdot.potential import BrenierPotential, exact_cell_stats_2d, mc_cell_stats
+import sdot.potential
+import sdot.solver
+from sdot.potential import (
+    BrenierPotential,
+    _lower_hull_edges,
+    exact_cell_stats_2d,
+    mc_cell_stats,
+)
 from sdot.solver import (
     FacetMeasuresUnavailableError,
     PathLeavesAdmissibleSetError,
@@ -278,6 +285,98 @@ class TestSolve:
         data = solved_grid25.to_json_dict()
         assert data["converged"] is True
         assert len(data["residual_history"]) == data["iterations"] + 1
+
+
+def hides_a_target(points, heights):
+    """Whether some target is off the lower hull of the lifted targets."""
+    return len(_lower_hull_edges(np.asarray(points), np.asarray(heights))[1]) < len(points)
+
+
+@pytest.fixture
+def collinear_hidden(unit_square):
+    """Three collinear targets; the middle one is lifted below the chord of
+    the outer two, so its cell is empty everywhere."""
+    target = sdot.validate_target([(-0.5, 0.0), (0.0, 0.0), (0.5, 0.0)])
+    h = np.array([0.0, -0.5, 0.0])
+    assert hides_a_target(target.points, h)
+    return target, h
+
+
+class TestHullFirstRejection:
+    """Exact-mode trials whose heights hide a target are rejected from the
+    regular triangulation alone, before any cell is built."""
+
+    def test_same_report_as_building_every_trial(self, monkeypatch, cluster_instance,
+                                                 unit_disk):
+        target, _, _ = cluster_instance
+        fast = solve(unit_disk, target)
+
+        def unconditional(domain, target, config):
+            return lambda h: exact_cell_stats_2d(BrenierPotential(target, h), domain)
+
+        monkeypatch.setattr(sdot.solver, "_stats_fn_for", unconditional)
+        slow = solve(unit_disk, target)
+        assert fast.iterations == slow.iterations
+        assert np.array_equal(fast.heights, slow.heights)
+        assert np.array_equal(fast.residual_history, slow.residual_history)
+        assert np.array_equal(fast.energy_history, slow.energy_history)
+
+    def test_one_qhull_call_per_trial(self, monkeypatch, cluster_instance, unit_disk):
+        target, _, _ = cluster_instance
+        hulls, trials, built, clipped = [], [], [], []
+        convex_hull = sdot.potential.ConvexHull
+        stats_fn_for = sdot.solver._stats_fn_for
+        stats = sdot.solver.exact_cell_stats_2d
+        clip_cells = sdot.potential.clip_cells
+
+        def hull_spy(*args, **kwargs):
+            hulls.append(1)
+            return convex_hull(*args, **kwargs)
+
+        def counting_for(domain, target, config):
+            fn = stats_fn_for(domain, target, config)
+
+            def counted(h):
+                out = fn(h)
+                trials.append(out is None)
+                return out
+            return counted
+
+        def stats_spy(potential, *args, **kwargs):
+            built.append(potential.heights.copy())
+            return stats(potential, *args, **kwargs)
+
+        def clip_spy(base_verts, points, heights, candidates):
+            clipped.append((np.array(points), np.array(heights)))
+            return clip_cells(base_verts, points, heights, candidates)
+
+        monkeypatch.setattr(sdot.potential, "ConvexHull", hull_spy)
+        monkeypatch.setattr(sdot.solver, "_stats_fn_for", counting_for)
+        monkeypatch.setattr(sdot.solver, "exact_cell_stats_2d", stats_spy)
+        monkeypatch.setattr(sdot.potential, "clip_cells", clip_spy)
+        report = solve(unit_disk, target)
+        monkeypatch.setattr(sdot.potential, "ConvexHull", convex_hull)
+
+        assert report.converged
+        assert len(hulls) == len(trials)
+        assert any(trials)
+        assert len(built) == trials.count(False) == len(clipped)
+        assert not any(hides_a_target(target.points, h) for h in built)
+        assert not any(hides_a_target(p, h) for p, h in clipped)
+
+    def test_energy_at_hidden_target_raises(self, unit_square, collinear_hidden):
+        target, h = collinear_hidden
+        with pytest.raises(PathLeavesAdmissibleSetError):
+            energy(BrenierPotential(target, h), unit_square)
+        with pytest.raises(PathLeavesAdmissibleSetError):
+            energy(BrenierPotential(target, np.zeros(3)), unit_square, h_base=h)
+
+    def test_hidden_start_falls_back_to_voronoi(self, unit_square, collinear_hidden):
+        target, h = collinear_hidden
+        plain = solve(unit_square, target)
+        started = solve(unit_square, target, h_init=h)
+        assert plain.converged and started.converged
+        assert np.abs(started.heights - plain.heights).max() <= 1e-9
 
 
 class TestTransportCost:
