@@ -411,20 +411,20 @@ def _candidate_matrix(points: np.ndarray, edges: np.ndarray, rows: np.ndarray) -
     among the requested targets. Only the edges at those targets are
     sorted; a target may be requested more than once.
     """
-    ids, slot = np.unique(rows, return_inverse=True)
-    pos = np.full(len(points), -1, dtype=np.int64)
-    pos[ids] = np.arange(len(ids))
+    wanted = np.zeros(len(points), dtype=bool)
+    wanted[rows] = True
+    slot = np.cumsum(wanted) - 1  # row of each wanted target in the built matrix
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    wanted = pos[src] >= 0
-    src, dst = src[wanted], dst[wanted]
+    keep = wanted[src]
+    src, dst = src[keep], dst[keep]
     gap2 = np.sum((points[src] - points[dst]) ** 2, axis=1)
     order = np.lexsort((dst, gap2, src))
-    src, dst = pos[src[order]], dst[order]
-    bounds = np.searchsorted(src, np.arange(len(ids) + 1))
-    candidates = np.full((len(ids), int(np.diff(bounds).max(initial=0))), -1, dtype=np.int64)
+    src, dst = slot[src[order]], dst[order]
+    bounds = np.searchsorted(src, np.arange(slot[-1] + 2))
+    candidates = np.full((slot[-1] + 1, int(np.diff(bounds).max(initial=0))), -1, dtype=np.int64)
     candidates[src, np.arange(len(src)) - bounds[src]] = dst
-    return candidates[slot]
+    return candidates[slot[rows]]
 
 
 def _bisector_spans(verts, counts, u, c, len_tol):
