@@ -62,6 +62,13 @@ def _require(spec: dict, key: str, where: str):
     return spec[key]
 
 
+def _object(value, where: str) -> dict:
+    """A config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected object, got {value!r}")
+    return value
+
+
 def _as(value, kind, where: str):
     """``value`` read as ``kind``; a bool must be JSON true or false."""
     try:
@@ -108,8 +115,8 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
-    domain_spec = _require(raw, "domain", str(path))
-    target_spec = _require(raw, "target", str(path))
+    domain_spec = _object(_require(raw, "domain", str(path)), "domain")
+    target_spec = _object(_require(raw, "target", str(path)), "target")
     if "generator" in target_spec and "file" in target_spec:
         raise ConfigError("target: give a generator or a file, not both")
     if "generator" not in target_spec and "file" not in target_spec:
@@ -120,7 +127,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"target.file: no such file {target_path}")
 
     seed = _field(raw, "seed", ExperimentConfig, int)
-    solver_spec = dict(raw.get("solver", {}))
+    solver_spec = _object(raw.get("solver", {}), "solver")
     solver_fields = {key: _field(solver_spec, f"solver.{key}", SolverConfig, kind)
                      for key, kind in _SOLVER_FIELDS.items()}
     try:
@@ -133,7 +140,7 @@ def load_config(path) -> ExperimentConfig:
     if theta is not None:
         theta = _positive(theta, "theta")
 
-    render_spec = dict(raw.get("render", {}))
+    render_spec = _object(raw.get("render", {}), "render")
     render = RenderOptions(**{key: _field(render_spec, f"render.{key}", RenderOptions, kind)
                               for key, kind in _RENDER_FIELDS.items()})
     if render.size <= 0:

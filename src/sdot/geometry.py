@@ -164,10 +164,13 @@ def clip_cells(base_verts, points, heights, candidates) -> tuple:
     ``<x, y_j - y_i> <= h_i - h_j`` of each candidate j in ``candidates[i]``,
     visited in column order up to the first -1, which pads the end of a
     row. All rows start from the base polygon and are held together as one
-    zero-padded (rows, M, 2) array with per-row vertex counts. Round r clips
-    every live row against its r-th candidate; a row leaves the batch when
-    its candidates run out or its cell becomes empty, so later rounds touch
-    only the rows still running.
+    zero-padded array with per-row vertex counts, wide enough for one more
+    vertex per candidate. The rows are sorted once by their number of
+    candidates, most first (a stable sort), so the rows that have an r-th
+    candidate are a prefix of the array. Round r clips that prefix, sliced
+    to its largest vertex count, against each row's r-th candidate; an
+    empty cell keeps count 0 and is never cut again. One un-permute at the
+    end restores the row order.
 
     With s = <v, y_j - y_i> - (h_i - h_j) at each vertex v, one clip skips
     the constraint when every s <= 0 and empties the cell when every
@@ -182,51 +185,37 @@ def clip_cells(base_verts, points, heights, candidates) -> tuple:
     """
     base = np.asarray(base_verts, dtype=float).reshape(-1, 2)
     candidates = np.asarray(candidates, dtype=np.int64)
-    rows = len(candidates)
-    ids = np.arange(rows)
-    verts = np.repeat(base[None], rows, axis=0)
+    rows, rounds = candidates.shape
+    has = np.logical_and.accumulate(candidates >= 0, axis=1)  # row has an r-th candidate
+    running = has.sum(axis=0)
+    order = np.argsort(-has.sum(axis=1), kind="stable")
+    candidates = candidates[order]
+    verts = np.zeros((rows, len(base) + rounds, 2))
+    verts[:, :len(base)] = base
     counts = np.full(rows, len(base))
-    finished = []
-    for r in range(candidates.shape[1]):
-        j = candidates[ids, r]
-        ends = j < 0
-        if ends.any():
-            finished.append((ids[ends], verts[ends], counts[ends]))
-            ids, verts, counts, j = ids[~ends], verts[~ends], counts[~ends], j[~ends]
-        if not len(ids):
+    for r in range(rounds):
+        m = running[r]
+        width = counts[:m].max(initial=0)
+        if width == 0:
             break
+        ids, j, v = order[:m], candidates[:m, r], verts[:m, :width]
         a = points[j] - points[ids]
         b = heights[ids] - heights[j]
-        s = (verts @ a[:, :, None])[:, :, 0] - b[:, None]
-        live = np.arange(verts.shape[1]) < counts[:, None]
+        s = (v @ a[:, :, None])[:, :, 0] - b[:, None]
+        live = np.arange(width) < counts[:m, None]
         # rows with every s <= 0 skip; cut rows with every s >= 0 are empty
         cut = ((s > 0.0) & live).any(axis=1)
-        if not cut.any():
-            continue
         mixed = cut & ((s < 0.0) & live).any(axis=1)
+        counts[:m][cut & ~mixed] = 0
         if mixed.any():
-            clipped, clipped_counts = _clip_rows(verts[mixed], counts[mixed], s[mixed])
-            width = clipped.shape[1]
-            if width > verts.shape[1]:
-                pad = np.zeros((len(verts), width - verts.shape[1], 2))
-                verts = np.concatenate((verts, pad), axis=1)
-            verts[mixed, :width] = clipped
-            verts[mixed, width:] = 0.0
-            counts[mixed] = clipped_counts
-        counts[cut & ~mixed] = 0
-        keep = counts > 0
-        ids, counts = ids[keep], counts[keep]
-        verts = verts[keep, :counts.max(initial=0)]
-    finished.append((ids, verts, counts))
-
-    counts = np.zeros(rows, dtype=np.int64)
-    for done, _, c in finished:
-        counts[done] = c
+            rows_cut = np.flatnonzero(mixed)
+            clipped, counts[rows_cut] = _clip_rows(v[rows_cut], counts[rows_cut], s[rows_cut])
+            verts[rows_cut, :clipped.shape[1]] = clipped
+            verts[rows_cut, clipped.shape[1]:width] = 0.0
+    verts[counts == 0] = 0.0
     out = np.zeros((rows, counts.max(initial=0), 2))
-    for done, v, _ in finished:
-        width = min(v.shape[1], out.shape[1])
-        out[done, :width] = v[:, :width]
-    return out, counts
+    out[order] = verts[:, :out.shape[1]]
+    return out, counts[np.argsort(order)]
 
 
 def _clip_rows(verts, counts, s):
@@ -450,7 +439,7 @@ class Ball:
             lambda pts: np.linalg.norm(pts - self.center, axis=1) <= self.radius,
         )
 
-    def clip_polygon(self, sides: int = DISK_SIDES) -> ConvexPolygon:
+    def clip_polygon(self) -> ConvexPolygon:
         """Inscribed regular polygon used by the exact 2D cell computations.
 
         Its area (not pi r^2) is the mass normalizer, so cell fractions still
@@ -458,7 +447,7 @@ class Ball:
         """
         if self.dimension != 2:
             raise DimensionUnsupportedError("exact clipping needs a 2D domain")
-        theta = 2.0 * math.pi * np.arange(sides) / sides
+        theta = 2.0 * math.pi * np.arange(DISK_SIDES) / DISK_SIDES
         ring = self.center + self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return ConvexPolygon(ring)
 

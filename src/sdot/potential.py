@@ -17,9 +17,10 @@ and whose power centres all lie inside the domain is the ring of those
 centres. Every other hull cell is clipped against its neighbours, nearest
 first, and a target off the hull is not built at all. The clipping order is
 one (rows, K) candidate matrix, padded with -1, and the clipped cells are
-clipped together by ``geometry.clip_cells``: round r clips every cell still
-running against its r-th candidate. The facet search then tests every
-neighbour pair against the padded cells in one vectorised pass.
+clipped together by ``geometry.clip_cells``: sorted by their number of
+neighbours, the cells that have an r-th neighbour are a prefix of one
+padded array, and round r clips that prefix. The facet search then tests
+every neighbour pair against the padded cells in one vectorised pass.
 ``legendre_dual`` bounds each facet chord by the same neighbours, plus the
 domain edges where a chord may leave the domain, and measures every chord
 in one pass.
@@ -239,8 +240,7 @@ class DualTriangulation:
         return {(int(i), int(j)) for i, j in self.edges}
 
 
-def exact_cell_stats_2d(potential: BrenierPotential, domain,
-                        adjacency_tol: float = ADJACENCY_TOL, *,
+def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
                         triangulation=None) -> PowerCellStats:
     """Exact power-diagram statistics on a 2D domain.
 
@@ -266,8 +266,8 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
       first. The candidate lists form one (rows, K) matrix padded with -1,
       K the largest triangulation degree, and
       :func:`~sdot.geometry.clip_cells` clips these cells together, one
-      round per neighbour rank; a cell leaves the batch when its list ends
-      or it becomes empty.
+      round per neighbour rank, each round over the cells whose list is
+      that long; an empty cell stays empty.
 
     Both kinds of cell fill one padded vertex array. Facets are sought only
     among neighbour pairs, tested all at once on the padded cells.
@@ -285,9 +285,7 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     points = potential.target.points
     heights = potential.heights
     n = potential.n
-
-    diam = float(np.linalg.norm(base_verts.max(axis=0) - base_verts.min(axis=0)))
-    len_tol = adjacency_tol * (1.0 + diam)
+    len_tol = _length_tol(base_verts)
 
     if triangulation is None:
         triangulation = _lower_hull_edges(points, heights)
@@ -323,6 +321,12 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain,
     return PowerCellStats(w, edges[facet], length[facet] / area_domain,
                           segments[facet], cells, area_domain, True,
                           envelope_mean=float(envelope.sum()) / area_domain)
+
+
+def _length_tol(domain_verts) -> float:
+    """Facet length tolerance: ADJACENCY_TOL x (1 + the domain's bounding-box diagonal)."""
+    diam = float(np.linalg.norm(domain_verts.max(axis=0) - domain_verts.min(axis=0)))
+    return ADJACENCY_TOL * (1.0 + diam)
 
 
 def _ring_cells(points, heights, edges, triangles, domain_verts, margin):
@@ -522,9 +526,7 @@ def legendre_dual(potential: BrenierPotential, domain=None,
 
     if domain is not None and len(edges):
         base = domain.clip_polygon().vertices
-        diam = float(np.linalg.norm(base.max(axis=0) - base.min(axis=0)))
-        tol = ADJACENCY_TOL * (1.0 + diam)
-        edges = edges[_facet_chord_lengths(points, heights, edges, base) > tol]
+        edges = edges[_facet_chord_lengths(points, heights, edges, base) > _length_tol(base)]
 
     zero = np.setdiff1d(np.arange(n, dtype=np.int64), hull)
     measures = None
@@ -567,9 +569,8 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
     edge = _cycled(domain_verts) - domain_verts
     a_dom = np.column_stack([-edge[:, 1], edge[:, 0]])
     centre = domain_verts.mean(axis=0)
-    diam = float(np.linalg.norm(domain_verts.max(axis=0) - domain_verts.min(axis=0)))
     radius = np.min(_row_dots(a_dom, centre - domain_verts) / np.hypot(*edge.T))
-    radius = max(radius - ADJACENCY_TOL * (1.0 + diam), 0.0)
+    radius = max(radius - _length_tol(domain_verts), 0.0)
     bounded = np.isfinite(lo) & np.isfinite(hi)
     ends = p0[:, None] + np.where(bounded, [lo, hi], 0.0).T[:, :, None] * direction[:, None]
     inside = bounded & np.all(np.sum((ends - centre) ** 2, axis=2) < radius * radius, axis=1)

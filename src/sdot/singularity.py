@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import GeometryError, convex_hull_2d
 from .potential import BrenierPotential, PowerCellStats, _row_dots
@@ -84,11 +86,11 @@ def _target_gaps(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(diff, diff))
 
 
-def default_theta(stats: PowerCellStats, target, factor: float = 3.0) -> float:
-    """Calibrated threshold: ``factor`` times the median adjacent-target gap."""
+def default_theta(stats: PowerCellStats, target) -> float:
+    """Calibrated threshold: three times the median adjacent-target gap (3 with no facets)."""
     if len(stats.facet_pairs) == 0:
-        return factor
-    return factor * float(np.median(_target_gaps(target.points, stats.facet_pairs)))
+        return 3.0
+    return 3.0 * float(np.median(_target_gaps(target.points, stats.facet_pairs)))
 
 
 def detect_singular_facets(stats: PowerCellStats, target, theta: float) -> SingularityGraph:
@@ -149,20 +151,17 @@ def singular_chains(graph: SingularityGraph) -> list:
     """Connected components of the flagged facets, as lists of facet indices.
 
     Facets are linked when they have an end of the same corner id; each
-    component is one discrete singular chain. Each facet takes the least
-    label of the facets at its ends until no label changes.
+    component is one discrete singular chain. The components come from one
+    ``connected_components`` call on the graph that links facet f (node f)
+    to the corner ids of its ends (nodes F + id). Facets come first, so the
+    labels follow each chain's least facet index.
     """
-    first, second = graph.facet_corners.T
-    n_ids = int(graph.facet_corners.max(initial=-1)) + 1
-    label = np.arange(len(first))
-    while True:
-        least = np.full(n_ids, len(first))
-        np.minimum.at(least, first, label)
-        np.minimum.at(least, second, label)
-        merged = np.minimum(least[first], least[second])
-        if np.array_equal(merged, label):
-            break
-        label = merged
+    f = len(graph.facet_corners)
+    n_nodes = f + int(graph.facet_corners.max(initial=-1)) + 1
+    links = coo_matrix((np.ones(2 * f), (np.tile(np.arange(f), 2),
+                                          f + graph.facet_corners.T.ravel())),
+                       shape=(n_nodes, n_nodes))
+    label = connected_components(links, directed=False)[1][:f]
     return [np.flatnonzero(label == root).tolist() for root in np.unique(label)]
 
 

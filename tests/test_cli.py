@@ -63,8 +63,13 @@ class TestConfig:
         ({"render": {"size": "big"}}, "render.size"),
         ({"mass_tolerance": "x"}, "mass_tolerance"),
         ({"render": {"show_targets": "no"}}, "render.show_targets"),
+        ({"target": "generator"}, "target"),
+        ({"domain": ["kind"]}, "domain"),
+        ({"solver": "fast"}, "solver"),
+        ({"render": [1]}, "render"),
     ], ids=["tolerance", "max-iterations", "damping", "size", "mass-tolerance",
-            "show-targets"])
+            "show-targets", "target-section", "domain-section", "solver-section",
+            "render-section"])
     def test_malformed_field_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, **overrides)
         assert main(["solve", str(path)]) == 1

@@ -77,6 +77,23 @@ def test_clip_cells_matches_scalar_chain(problem):
         assert not verts[r, counts[r]:].any()
 
 
+@given(clip_problems())
+@settings(max_examples=300, deadline=None)
+def test_batched_rows_match_rows_clipped_alone(problem):
+    """Each row of a batch is bit-identical to the same row clipped alone, so
+    neither the batch's order nor its width can change a cell."""
+    base, points, heights, candidates = problem
+    verts, counts = clip_cells(base, points, heights, candidates)
+    for r in range(len(candidates)):
+        # swap sites 0 and r: a one-row call clips site 0; every candidate
+        # indexes the pool, past both sites
+        swap = np.arange(len(points))
+        swap[[0, r]] = [r, 0]
+        alone, count = clip_cells(base, points[swap], heights[swap], candidates[[r]])
+        assert count[0] == counts[r]
+        assert np.array_equal(alone[0, :count[0]], verts[r, :counts[r]])
+
+
 def test_boundary_only_contact_empties_and_touching_line_skips():
     box = BASES["box"]
     # lines through the corner (1, 1): the box lies on the far side of the
