@@ -2,8 +2,9 @@
 
 The continuous side of the transport problem lives here: convex compact
 domains carrying a uniform probability density, Monte Carlo sampling, and
-the polygon arithmetic (half-plane clipping, one shoelace pass for the
-moments of many polygons) that the exact 2D cell computations are built on.
+the polygon arithmetic: half-plane clipping of many polygons at once, the
+dedupe of ring vertices, and one shoelace pass for the moments of many
+polygons, which the exact 2D cell computations are built on.
 """
 from __future__ import annotations
 

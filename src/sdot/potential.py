@@ -4,26 +4,22 @@ The potential is the upper envelope of one supporting plane per target
 point, ``u(x) = max_i(<x, y_i> + h_i)``. Its gradient is the transport map
 (constant equal to ``y_i`` on cell ``i``), and the induced decomposition of
 the source domain is a power diagram. Cell masses and facet masses are
-computed exactly in 2D by half-plane clipping, and by Monte Carlo counting
-in any dimension. The Legendre dual of the potential is built from the 3D
-lower convex hull of the lifted points ``(y_i, -h_i)``; its projection is
-the weighted Delaunay (regular) triangulation.
+computed exactly in 2D from the regular triangulation, and by Monte Carlo
+counting in any dimension. The Legendre dual of the potential is built from
+the 3D lower convex hull of the lifted points ``(y_i, -h_i)``; its
+projection is the weighted Delaunay (regular) triangulation.
 
 The exact 2D statistics use the same lower hull (the 1D upper hull for
 collinear targets, the planar hull ring for coplanar lifts): a target has a
-cell exactly when it is a hull vertex, bounded only by its triangulation
-neighbours. A cell whose fan of lower triangles closes around its target
-and whose power centres all lie inside the domain is the ring of those
-centres. Every other hull cell is clipped against its neighbours, nearest
-first, and a target off the hull is not built at all. The clipping order is
-one (rows, K) candidate matrix, padded with -1, and the clipped cells are
-clipped together by ``geometry.clip_cells``: sorted by their number of
-neighbours, the cells that have an r-th neighbour are a prefix of one
-padded array, and round r clips that prefix. The facet search then tests
-every neighbour pair against the padded cells in one vectorised pass.
-``legendre_dual`` bounds each facet chord by the same neighbours, plus the
-domain edges where a chord may leave the domain, and measures every chord
-in one pass.
+cell exactly when it is a hull vertex, and a target off the hull is not
+built. Every triangulation edge has one facet on its bisector, bounded by
+the power centres of the edge's lower triangles (one Cramer solve per
+triangle) and cut by the domain edges where it leaves the domain; without
+triangles, the triangulation neighbours bound it. A cell's corners are the
+ends of its facets plus the domain vertices it holds, put in CCW order by
+one sort over all cells. ``legendre_dual`` bounds each facet chord a second
+way, by the triangulation neighbours and the same domain cut, and measures
+every chord in one pass.
 """
 from __future__ import annotations
 
@@ -38,8 +34,6 @@ from .geometry import (
     GeometryError,
     _cycled,
     _drop_repeats,
-    _ring_next,
-    clip_cells,
     polygon_area,
     polygon_moments,
     sample_source,
@@ -244,33 +238,19 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
                         triangulation=None) -> PowerCellStats:
     """Exact power-diagram statistics on a 2D domain.
 
-    Cell masses are clipped polygon areas over the domain area; the facet
-    mass of an adjacent pair is the shared edge length over the domain area
+    Cell masses are polygon areas over the domain area; the facet mass of
+    an adjacent pair is the shared edge length over the domain area
     (uniform density). Disks are replaced by their inscribed regular
     polygon, whose area is the normalizer.
 
-    A power cell is bounded only by the bisectors of its neighbours in the
-    regular triangulation: the edges of the lower hull of the lifted points
-    (y_i, -h_i), from :func:`_lower_hull_edges` as in :func:`legendre_dual`.
-    A target off that hull has an empty cell everywhere in the plane: its
-    mass is zero and it is not built. A hull target gets its cell one of two
-    ways (Aurenhammer 1987):
-
-    - ring: when the target is inside the triangulation and every power
-      centre of its fan of lower triangles lies strictly inside the domain,
-      its cell is the ring of those centres in CCW fan order
-      (:func:`_ring_cells`), with no clipping;
-    - clip: every other hull cell (its target is on the triangulation
-      boundary, a centre is outside or non-finite, or the ring collapses)
-      is clipped from the domain polygon against its neighbours, nearest
-      first. The candidate lists form one (rows, K) matrix padded with -1,
-      K the largest triangulation degree, and
-      :func:`~sdot.geometry.clip_cells` clips these cells together, one
-      round per neighbour rank, each round over the cells whose list is
-      that long; an empty cell stays empty.
-
-    Both kinds of cell fill one padded vertex array. Facets are sought only
-    among neighbour pairs, tested all at once on the padded cells.
+    The diagram is built from the regular triangulation, the projection of
+    the lower hull of the lifted points (y_i, -h_i) from
+    :func:`_lower_hull_edges` (Aurenhammer 1987). A target off that hull
+    has an empty cell everywhere in the plane and is not built. Each edge
+    (i, j) has one facet on the (i, j) bisector (:func:`_power_facets`).
+    Cell i's corners are the ends of its facets, the same floats in both
+    cells of a facet, plus the domain vertices whose highest hull plane is
+    i's; :func:`_cell_rings` puts them in CCW order. No cell is clipped.
 
     ``triangulation``, when given, is the ``(edges, hull, triangles)``
     triple that :func:`_lower_hull_edges` returned for these targets and
@@ -285,41 +265,25 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
     points = potential.target.points
     heights = potential.heights
     n = potential.n
-    len_tol = _length_tol(base_verts)
 
     if triangulation is None:
         triangulation = _lower_hull_edges(points, heights)
     edges, hull, triangles = triangulation
-    ring_ids, ring_verts, ring_counts = _ring_cells(
-        points, heights, edges, triangles, base_verts, len_tol)
-    clipped = np.zeros(n, dtype=bool)
-    clipped[hull] = True
-    clipped[ring_ids] = False
-    # clip_cells numbers its sites by row: put the clipped targets first
-    order = np.argsort(~clipped, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    candidates = _candidate_matrix(points, edges, np.flatnonzero(clipped))
-    clip_verts, clip_counts = clip_cells(
-        base_verts, points[order], heights[order],
-        np.where(candidates < 0, -1, rank[candidates]))
-
-    width = max(clip_verts.shape[1], ring_verts.shape[1])
-    verts = np.zeros((n, width, 2))
-    counts = np.zeros(n, dtype=np.int64)
-    verts[clipped, :clip_verts.shape[1]], counts[clipped] = clip_verts, clip_counts
-    verts[ring_ids, :ring_verts.shape[1]], counts[ring_ids] = ring_verts, ring_counts
+    ends, length, owner, corners = _power_facets(points, heights, edges, triangles, base_verts)
+    on_hull = BrenierPotential(
+        DiscreteTargetMeasure(points[hull], potential.target.weights[hull]), heights[hull])
+    verts, counts = _cell_rings(
+        np.concatenate([owner, hull[on_hull._reduce_planes(base_verts)]]),
+        np.concatenate([corners, base_verts]), n)
     cells = [verts[i, :counts[i]] for i in range(n)]
     a, sx, sy, _, _ = polygon_moments(cells).T
     w = a / area_domain
     envelope = points[:, 0] * sx + points[:, 1] * sy + heights * a
 
-    edges = edges[(counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0)]
-    i, j = edges[:, 0], edges[:, 1]
-    facet, length, segments = _bisector_spans(
-        verts[i], counts[i], points[i] - points[j], heights[j] - heights[i], len_tol)
-    return PowerCellStats(w, edges[facet], length[facet] / area_domain,
-                          segments[facet], cells, area_domain, True,
+    facet = ((length > _length_tol(base_verts))
+             & (counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0))
+    return PowerCellStats(w, edges[facet], length[facet] / area_domain, ends[facet],
+                          cells, area_domain, True,
                           envelope_mean=float(envelope.sum()) / area_domain)
 
 
@@ -329,29 +293,66 @@ def _length_tol(domain_verts) -> float:
     return ADJACENCY_TOL * (1.0 + diam)
 
 
-def _ring_cells(points, heights, edges, triangles, domain_verts, margin):
-    """Power cells that are the ring of their fan's power centres.
+def _power_facets(points, heights, edges, triangles, domain_verts):
+    """The facet of every triangulation edge inside the domain polygon, and the corners at its ends.
+
+    The facet of edge (i, j) lies on the bisector p0 + t*direction
+    (:func:`_bisector_lines`), bounded by the power centres of the edge's
+    lower triangles (:func:`_centre_bounds`) or, without triangles (n <= 3,
+    collinear targets, coplanar lifts), by the triangulation neighbours of
+    i as in :func:`_facet_chord_lengths`, and cut by the domain edges
+    (:func:`_domain_cut`). An end the domain left in place is its
+    triangle's power centre, one float for every facet and cell that meets
+    there; any other end is the point at its line parameter.
+
+    Returns the (E, 2, 2) ends from low to high t (least to greatest spread
+    along the bisector), the (E,) lengths (0 where the facet misses the
+    domain), and the corners as cell ids and points: each used centre once
+    per vertex of its triangle, each other end once per cell of its facet.
+    """
+    p0, direction = _bisector_lines(points, heights, edges)
+    if len(triangles):
+        centres, tri, bounds = _centre_bounds(points, heights, edges, triangles, p0, direction)
+        blocked = np.zeros(len(edges), dtype=bool)
+    else:
+        centres, tri = np.zeros((0, 2)), np.full((2, len(edges)), -1)
+        lo, hi, blocked = _neighbour_interval(points, heights, edges, p0, direction)
+        bounds = np.stack([lo, hi])
+    lo, hi, blocked = _domain_cut(domain_verts, p0, direction, *bounds.copy(), blocked)
+    t = np.stack([lo, hi])
+    live = ~blocked & (lo < hi) & np.isfinite(t).all(axis=0)
+    t[:, ~live] = 0.0
+    ends = p0 + t[:, :, None] * direction
+    at_centre = live & (t == bounds) & (tri >= 0)
+    ends[at_centre] = centres[tri[at_centre]]
+    used = np.zeros(len(triangles), dtype=bool)
+    used[tri[at_centre]] = True
+    side, e = np.nonzero(live & ~at_centre)
+    owner = np.concatenate([triangles[used].ravel(), edges[e].ravel()])
+    corners = np.concatenate([np.repeat(centres[used], 3, axis=0),
+                              np.repeat(ends[side, e], 2, axis=0)])
+    return ends.transpose(1, 0, 2), t[1] - t[0], owner, corners
+
+
+def _centre_bounds(points, heights, edges, triangles, p0, direction):
+    """Power centres of the lower triangles, and the centre at each end of each facet.
 
     The power centre of a lower triangle (a, b, c) is the point where the
     planes of a, b and c meet: ``<x, y_b - y_a> = h_a - h_b`` and
-    ``<x, y_c - y_a> = h_a - h_c``, one batched 2x2 solve by Cramer's rule
-    (non-finite for a degenerate triangle). A target qualifies when it is
-    inside the triangulation (as many triangles as edges, so its fan
-    closes) and every centre of its fan lies inside the domain polygon by
-    more than ``margin``. Its ring is the fan's centres in CCW order around
-    the target, sorted by the direction of each triangle's centroid. As in
-    :func:`~sdot.geometry.clip_cells`, a vertex within DEGENERACY_TOL * (1 +
-    largest coordinate magnitude) of its cyclic predecessor is dropped;
-    repeated centres come from cocircular fans. A ring that keeps fewer
-    than 3 vertices, or whose fan ring has no positive area, is left out.
+    ``<x, y_c - y_a> = h_a - h_c``, one batched 2x2 solve by Cramer's rule.
+    On the bisector of an edge (i, j), i < j, the facet runs from the
+    centre away from the third vertex k: it starts there (low end in t)
+    when k is left of i -> j, cross(y_j - y_i, y_k - y_i) > 0, and ends
+    there otherwise. Listed as (a, b), (b, c), (c, a), the edges keep the
+    triangle's cyclic order, so that cross is the 2x2 determinant when
+    a < b and its negative otherwise. A degenerate triangle (non-finite
+    centre) bounds nothing.
 
-    Returns the sorted target ids, their zero-padded (R, W, 2) rings and
-    the (R,) vertex counts.
+    Returns the (T, 2) centres, the (2, E) triangle ids at the low and high
+    ends (-1 for none) and the (2, E) line parameters of those ends
+    (-inf and inf for none).
     """
     n = len(points)
-    fan = np.bincount(triangles.ravel(), minlength=n)
-    ring = fan == np.bincount(edges.ravel(), minlength=n)
-    ring &= fan > 0
     corners = points[triangles]
     d1 = corners[:, 1] - corners[:, 0]
     d2 = corners[:, 2] - corners[:, 0]
@@ -362,97 +363,58 @@ def _ring_cells(points, heights, edges, triangles, domain_verts, margin):
     with np.errstate(divide="ignore", invalid="ignore"):
         centres = np.column_stack([r1 * d2[:, 1] - r2 * d1[:, 1],
                                    d1[:, 0] * r2 - d2[:, 0] * r1]) / det[:, None]
-    ring[triangles[~_inside_convex(domain_verts, centres, margin)]] = False
-    ids = np.flatnonzero(ring)
-    if not len(ids):
-        return ids, np.zeros((0, 0, 2)), ids
 
-    # the fan incidences (target, triangle) of ring targets, in CCW order
-    owner = triangles.ravel()
-    tri = np.flatnonzero(ring[owner]) // 3
-    owner = owner[ring[owner]]
-    mid = corners.sum(axis=1)[tri] - 3.0 * points[owner]
-    order = np.lexsort((np.arctan2(mid[:, 1], mid[:, 0]), owner))
-    counts = fan[ids]
-    row = np.repeat(np.arange(len(ids)), counts)
-    verts = np.zeros((len(ids), counts.max(initial=0), 2))
-    verts[row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]] = centres[tri[order]]
-    nxt = _ring_next(verts, counts)
-    area2 = np.sum(verts[:, :, 0] * nxt[:, :, 1] - verts[:, :, 1] * nxt[:, :, 0], axis=1)
-    verts, counts = _drop_repeats(verts, counts)
-    good = (counts > 0) & (area2 > 0.0)
-    return ids[good], verts[good], counts[good]
-
-
-def _inside_convex(verts, pts, margin):
-    """Whether each point lies inside the CCW convex polygon by more than ``margin``.
-
-    Seen from the vertex mean, the vertex directions turn once around the
-    polygon, so one ``searchsorted`` of a point's direction among them finds
-    the wedge that holds it, and the point is inside when it is on the inner
-    side of that wedge's edge. Non-finite points are outside.
-    """
-    o = verts.mean(axis=0)
-    angle = np.arctan2(verts[:, 1] - o[1], verts[:, 0] - o[0])
-    turn = np.argsort(angle)
-    edge = _cycled(verts) - verts
-    rel = pts - o
+    a = triangles.ravel()
+    b = triangles[:, [1, 2, 0]].ravel()
+    tri = np.arange(len(a)) // 3
+    # the edges are the triangles' distinct edges in key order
+    e = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)[1]
     with np.errstate(invalid="ignore"):
-        # wedge p lies between the p-th and (p + 1)-th smallest vertex
-        # directions; a direction below the smallest wraps to the last (-1)
-        k = turn[np.searchsorted(angle[turn], np.arctan2(rel[:, 1], rel[:, 0]),
-                                 side="right") - 1]
-        cross = edge[k, 0] * (pts[:, 1] - verts[k, 1]) - edge[k, 1] * (pts[:, 0] - verts[k, 0])
-        inside = cross > margin * np.hypot(edge[k, 0], edge[k, 1])
-    return inside & np.isfinite(pts).all(axis=1)
+        t = _row_dots(centres[tri] - p0[e], direction[e])
+    turn = np.where(a < b, det[tri], -det[tri])
+    ok = np.isfinite(t)
+    end = (turn[ok] < 0.0).astype(np.int64)  # 0: the centre starts the facet, 1: it ends it
+    ids = np.full((2, len(edges)), -1)
+    ids[end, e[ok]] = tri[ok]
+    bounds = np.repeat([[-np.inf], [np.inf]], len(edges), axis=1)
+    bounds[end, e[ok]] = t[ok]
+    return centres, ids, bounds
 
 
-def _candidate_matrix(points: np.ndarray, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Clipping order of the targets ``rows`` as a (len(rows), K) matrix padded with -1.
+def _cell_rings(owner, corners, n):
+    """Each cell's corners in CCW order: a zero-padded (n, W, 2) array and the (n,) counts.
 
-    Row k lists the regular-triangulation neighbours of target rows[k] in
-    ``edges``, nearest first with ties by index; K is the largest degree
-    among the requested targets. Only the edges at those targets are
-    sorted; a target may be requested more than once.
+    One lexsort by (cell, angle about the mean of the cell's corners) orders
+    every cell at once. As in :func:`~sdot.geometry.clip_cells`, a corner
+    within DEGENERACY_TOL * (1 + largest coordinate magnitude) of its cyclic
+    predecessor is dropped (:func:`~sdot.geometry._drop_repeats`), and a
+    cell left with fewer than 3 corners is empty (count 0).
     """
-    wanted = np.zeros(len(points), dtype=bool)
-    wanted[rows] = True
-    slot = np.cumsum(wanted) - 1  # row of each wanted target in the built matrix
+    total = np.bincount(owner, minlength=n)
+    mean = np.column_stack([np.bincount(owner, corners[:, 0], n),
+                            np.bincount(owner, corners[:, 1], n)]) / np.maximum(total, 1)[:, None]
+    rel = corners - mean[owner]
+    order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
+    owner = owner[order]
+    verts = np.zeros((n, total.max(initial=0), 2))
+    verts[owner, np.arange(len(owner)) - (np.cumsum(total) - total)[owner]] = corners[order]
+    return _drop_repeats(verts, total)
+
+
+def _neighbour_matrix(edges: np.ndarray, n: int) -> np.ndarray:
+    """Triangulation neighbours of each of n targets as an (n, K) matrix padded with -1.
+
+    Row k lists the neighbours of target k in ``edges`` order; K is the
+    largest degree.
+    """
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    keep = wanted[src]
-    src, dst = src[keep], dst[keep]
-    gap2 = np.sum((points[src] - points[dst]) ** 2, axis=1)
-    order = np.lexsort((dst, gap2, src))
-    src, dst = slot[src[order]], dst[order]
-    bounds = np.searchsorted(src, np.arange(slot[-1] + 2))
-    candidates = np.full((slot[-1] + 1, int(np.diff(bounds).max(initial=0))), -1, dtype=np.int64)
-    candidates[src, np.arange(len(src)) - bounds[src]] = dst
-    return candidates[slot[rows]]
-
-
-def _bisector_spans(verts, counts, u, c, len_tol):
-    """Shared-facet test of each padded cell against one bisector line.
-
-    Cell row e is tested against the line <x, u_e> = c_e. Its vertices
-    within ``len_tol`` of the line are the facet candidates; there is a
-    facet when at least two lie on the line and their spread along it
-    exceeds ``len_tol``. Returns the facet mask, the spread length and the
-    (E, 2, 2) segments from the first vertex of least spread to the first
-    of greatest spread.
-    """
-    norm_u = np.sqrt(np.sum(u ** 2, axis=1))
-    dist = ((verts @ u[:, :, None])[:, :, 0] - c[:, None]) / norm_u[:, None]
-    live = np.arange(verts.shape[1]) < counts[:, None]
-    on_line = live & (np.abs(dist) <= len_tol)
-    perp = np.column_stack([-u[:, 1], u[:, 0]])
-    spread = (verts @ perp[:, :, None])[:, :, 0] / norm_u[:, None]
-    lo = np.argmin(np.where(on_line, spread, np.inf), axis=1)
-    hi = np.argmax(np.where(on_line, spread, -np.inf), axis=1)
-    rows = np.arange(len(verts))
-    length = spread[rows, hi] - spread[rows, lo]
-    facet = (np.count_nonzero(on_line, axis=1) >= 2) & (length > len_tol)
-    return facet, length, np.stack([verts[rows, lo], verts[rows, hi]], axis=1)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    degree = np.bincount(src, minlength=n)
+    nbrs = np.full((n, degree.max(initial=0)), -1, dtype=np.int64)
+    nbrs[src, np.arange(len(src)) - (np.cumsum(degree) - degree)[src]] = dst
+    return nbrs
 
 
 def mc_cell_stats(potential: BrenierPotential, domain, samples: int,
@@ -510,11 +472,12 @@ def legendre_dual(potential: BrenierPotential, domain=None,
 
     With a ``domain``, edges whose dual power-diagram facet misses the
     domain are dropped, restoring the exact duality with the clipped
-    diagram: edge (i, j) present iff the clipped facet mass is positive.
+    diagram: edge (i, j) present iff its facet mass is positive.
     The facet is the chord of the (i, j) bisector line left by the
     triangulation neighbours of i and the domain edges; all chords are
-    measured in one batched pass. With exact ``stats``, each edge is
-    annotated with the mass of its dual facet.
+    measured in one batched pass. With exact ``stats`` (facet pairs in key
+    order, as :func:`exact_cell_stats_2d` gives them), each edge is
+    annotated with the mass of its dual facet, 0 where it has none.
     """
     if potential.target.dimension != 2:
         raise DimensionUnsupportedError("the dual construction is 2D only")
@@ -531,9 +494,12 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     zero = np.setdiff1d(np.arange(n, dtype=np.int64), hull)
     measures = None
     if stats is not None and stats.has_facet_measures:
-        lookup = {(int(i), int(j)): float(m)
-                  for (i, j), m in zip(stats.facet_pairs, stats.facet_measures)}
-        measures = np.array([lookup.get((int(i), int(j)), 0.0) for i, j in edges])
+        # both sides are sorted by the key i * n + j; a key past the last
+        # facet meets the -1 sentinel
+        keys = np.append(stats.facet_pairs @ [n, 1], -1)
+        want = edges @ [n, 1]
+        k = np.searchsorted(keys[:-1], want)
+        measures = np.where(keys[k] == want, np.append(stats.facet_measures, 0.0)[k], 0.0)
     return DualTriangulation(edges, measures, zero, hull)
 
 
@@ -543,37 +509,68 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
     The facet lies on the (i, j) bisector line, in cell i, which only the
     regular-triangulation neighbours of i and the domain edges bound. Each
     bound restricts the line parameter to an interval; all edges are
-    measured in one pass, independently of the polygon-clipping pipeline.
-    The domain edges are applied only to chords that the neighbours leave
-    unbounded, or with an end outside the polygon's inscribed circle about
-    its vertex mean (shrunk by the adjacency tolerance): inside it no domain
-    edge can cut the chord.
+    measured in one pass, independently of the triangle centres that
+    :func:`exact_cell_stats_2d` bounds its facets by.
+    """
+    p0, direction = _bisector_lines(points, heights, edges)
+    lo, hi, blocked = _domain_cut(domain_verts, p0, direction,
+                                  *_neighbour_interval(points, heights, edges, p0, direction))
+    ok = ~blocked & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
+    return np.where(ok, hi - lo, 0.0)
+
+
+def _bisector_lines(points, heights, edges):
+    """The (i, j) bisector ``<x, y_i - y_j> = h_j - h_i`` of every edge as p0 + t*direction.
+
+    p0 is the line's point nearest the origin, and ``direction`` is
+    y_i - y_j turned a quarter turn counterclockwise, at unit length.
     """
     i, j = edges[:, 0], edges[:, 1]
     u = points[i] - points[j]
     c = heights[j] - heights[i]
     nrm2 = _row_dots(u, u)
     p0 = (c / nrm2)[:, None] * u
-    direction = np.column_stack([-u[:, 1], u[:, 0]]) / np.sqrt(nrm2)[:, None]
+    return p0, np.column_stack([-u[:, 1], u[:, 0]]) / np.sqrt(nrm2)[:, None]
 
-    # each constraint reads t*s >= r on the line p0 + t*direction; padding
-    # and j itself map to i, a zero row that is parallel with r = 0
-    nbrs = _candidate_matrix(points, edges, i)
+
+def _neighbour_interval(points, heights, edges, p0, direction):
+    """Line-parameter interval of each (i, j) bisector left by the neighbours of i.
+
+    Each neighbour k keeps ``<x, y_k - y_i> <= h_i - h_k``, which reads
+    t*s >= r on the line; padding and j itself map to i, a zero row that is
+    parallel with r = 0. Returns lo, hi and the blocked mask of
+    :func:`_chord_interval`.
+    """
+    i, j = edges[:, 0], edges[:, 1]
+    nbrs = _neighbour_matrix(edges, len(points))[i]
     nbrs = np.where((nbrs < 0) | (nbrs == j[:, None]), i[:, None], nbrs)
     a = points[i][:, None, :] - points[nbrs]
     r = (heights[nbrs] - heights[i][:, None]) - _row_dots(a, p0[:, None])
-    lo, hi, blocked = _chord_interval(r, _row_dots(a, direction[:, None]))
+    return _chord_interval(r, _row_dots(a, direction[:, None]))
 
+
+def _domain_cut(domain_verts, p0, direction, lo, hi, blocked):
+    """Narrow each line-parameter interval [lo, hi] to the domain polygon, in place.
+
+    Only intervals that may cross the polygon's boundary meet its edges.
+    About the vertex mean, with the adjacency tolerance as margin: an
+    interval whose nearest point lies beyond the farthest vertex misses
+    the polygon and is blocked, and one with both ends inside the inscribed
+    circle is left as it is. Returns lo, hi and blocked.
+    """
     # inward side of a CCW domain edge: cross(edge, x - v) >= 0,
     # i.e. <a, p0 + t*dir - v> >= 0  ->  t*s >= <a, v - p0>
     edge = _cycled(domain_verts) - domain_verts
     a_dom = np.column_stack([-edge[:, 1], edge[:, 0]])
     centre = domain_verts.mean(axis=0)
-    radius = np.min(_row_dots(a_dom, centre - domain_verts) / np.hypot(*edge.T))
-    radius = max(radius - _length_tol(domain_verts), 0.0)
+    tol = _length_tol(domain_verts)
+    inner = max(np.min(_row_dots(a_dom, centre - domain_verts) / np.hypot(*edge.T)) - tol, 0.0)
+    outer = np.sqrt(np.max(_row_dots(domain_verts - centre, domain_verts - centre))) + tol
+    nearest = p0 + np.clip(_row_dots(centre - p0, direction), lo, hi)[:, None] * direction
+    blocked |= _row_dots(nearest - centre, nearest - centre) > outer * outer
     bounded = np.isfinite(lo) & np.isfinite(hi)
     ends = p0[:, None] + np.where(bounded, [lo, hi], 0.0).T[:, :, None] * direction[:, None]
-    inside = bounded & np.all(np.sum((ends - centre) ** 2, axis=2) < radius * radius, axis=1)
+    inside = bounded & np.all(np.sum((ends - centre) ** 2, axis=2) < inner * inner, axis=1)
     cut = np.flatnonzero(~blocked & (lo < hi) & ~inside)
     if len(cut):
         lo_dom, hi_dom, blocked[cut] = _chord_interval(
@@ -581,8 +578,7 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
             _row_dots(a_dom, direction[cut, None]))
         lo[cut] = np.maximum(lo[cut], lo_dom)
         hi[cut] = np.minimum(hi[cut], hi_dom)
-    ok = ~blocked & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
-    return np.where(ok, hi - lo, 0.0)
+    return lo, hi, blocked
 
 
 def _chord_interval(r, s):

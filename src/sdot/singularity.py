@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import GeometryError, convex_hull_2d
 from .potential import BrenierPotential, PowerCellStats, _row_dots
@@ -156,6 +155,9 @@ def singular_chains(graph: SingularityGraph) -> list:
     to the corner ids of its ends (nodes F + id). Facets come first, so the
     labels follow each chain's least facet index.
     """
+    # imported on use, so that ``import sdot`` skips csgraph (about 1.2 MB RSS)
+    from scipy.sparse.csgraph import connected_components
+
     f = len(graph.facet_corners)
     n_nodes = f + int(graph.facet_corners.max(initial=-1)) + 1
     links = coo_matrix((np.ones(2 * f), (np.tile(np.arange(f), 2),

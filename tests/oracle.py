@@ -2,24 +2,27 @@
 
 The oracle owns the scalar clipper: ``_clip_vertices`` clips one convex
 polygon against one half-plane with a loop over its edges, and
-``_cell_vertices`` chains it over one cell's targets. ``sdot`` clips every
-cell at once in ``sdot.geometry.clip_cells``; nothing here imports it.
+``_cell_vertices`` chains it over one cell's targets. ``sdot`` clips many
+polygons at once in ``sdot.geometry.clip_cells``; nothing here imports it.
 ``all_pairs_cell_stats_2d`` clips every cell against every other target,
 nearest first, and scans all i < j pairs for shared facets. It reads no
-triangulation, so it stays independent of the lower-hull candidate lists
-that ``exact_cell_stats_2d`` clips against.
+triangulation, so it stays independent of the triangle power centres that
+``exact_cell_stats_2d`` builds its cells from.
 
 ``_area`` and ``loop_polygon_moments`` are the per-polygon shoelace sums
 that ``sdot.geometry.polygon_moments`` computes for many polygons in one
 pass. ``loop_facet_chord_length`` measures one facet chord against every
 other target, where ``_facet_chord_lengths`` bounds all chords in one pass
 by the triangulation neighbours only; ``loop_hessian`` is the per-facet
-loop form of ``solver.hessian``. ``loop_mc_adjacency`` collects the
+loop form of ``solver.hessian``, and ``loop_dual_measures`` looks each
+dual edge's facet mass up in a dict, where ``legendre_dual`` runs one
+``searchsorted``. ``loop_mc_adjacency`` collects the
 straddling nearest-sample pairs of ``mc_cell_stats_from_samples`` in a set,
 and ``loop_generated_rows`` formats the ``sdot generate`` CSV one row at a
 time. ``exact_cell_masses`` repeats the all-pairs clipping in
 ``fractions.Fraction`` arithmetic, so its cell masses are exact for the
-given float inputs. ``dense_transport_lp`` hands HiGHS every one of the
+given float inputs, and ``exact_facet_ends`` reads the facet ends off the
+same exact cells. ``dense_transport_lp`` hands HiGHS every one of the
 m n transport columns at once, where ``sdot.kantorovich.solve_lp`` prices
 columns into a small support; both pass HiGHS the same tolerances.
 ``loop_diagram_vertices`` and ``loop_singular_chains`` key corners in dicts
@@ -192,6 +195,22 @@ def _exact_clip(poly, a, b):
     return out if len(out) >= 3 else []
 
 
+def _exact_cells(potential, domain):
+    """Every cell from all-pairs clipping in rational arithmetic, with the
+    rational points, heights and domain area."""
+    base = [tuple(map(Fraction, v)) for v in domain.clip_polygon().vertices.tolist()]
+    points = [tuple(map(Fraction, y)) for y in potential.target.points.tolist()]
+    heights = [Fraction(h) for h in potential.heights.tolist()]
+    cells = []
+    for i, (yi, hi) in enumerate(zip(points, heights)):
+        poly = base
+        for j, (yj, hj) in enumerate(zip(points, heights)):
+            if j != i and poly:
+                poly = _exact_clip(poly, (yj[0] - yi[0], yj[1] - yi[1]), hi - hj)
+        cells.append(poly)
+    return cells, points, heights, _exact_area(base)
+
+
 def exact_cell_masses(potential, domain) -> np.ndarray:
     """Cell masses from all-pairs clipping in exact rational arithmetic.
 
@@ -199,18 +218,28 @@ def exact_cell_masses(potential, domain) -> np.ndarray:
     the exact cell area of the given points, heights and domain polygon
     over the exact domain area, rounded once to float.
     """
-    base = [tuple(map(Fraction, v)) for v in domain.clip_polygon().vertices.tolist()]
-    points = [tuple(map(Fraction, y)) for y in potential.target.points.tolist()]
-    heights = [Fraction(h) for h in potential.heights.tolist()]
-    area_domain = _exact_area(base)
-    masses = []
-    for i, (yi, hi) in enumerate(zip(points, heights)):
-        poly = base
-        for j, (yj, hj) in enumerate(zip(points, heights)):
-            if j != i and poly:
-                poly = _exact_clip(poly, (yj[0] - yi[0], yj[1] - yi[1]), hi - hj)
-        masses.append(float(_exact_area(poly) / area_domain) if poly else 0.0)
-    return np.array(masses)
+    cells, _, _, area_domain = _exact_cells(potential, domain)
+    return np.array([float(_exact_area(poly) / area_domain) if poly else 0.0
+                     for poly in cells])
+
+
+def exact_facet_ends(potential, domain, pairs) -> np.ndarray:
+    """(F, 2, 2) ends of the facets ``pairs`` in exact rational arithmetic.
+
+    The (i, j) facet is made of the vertices of the exact cell i that lie
+    exactly on the (i, j) bisector; its ends are the ones of least and of
+    greatest spread along the line, each rounded once to float.
+    """
+    cells, points, heights, _ = _exact_cells(potential, domain)
+    out = []
+    for i, j in pairs:
+        u = (points[i][0] - points[j][0], points[i][1] - points[j][1])
+        c = heights[j] - heights[i]
+        on = [v for v in cells[i] if u[0] * v[0] + u[1] * v[1] == c]
+        spread = [u[0] * v[1] - u[1] * v[0] for v in on]
+        ends = (on[spread.index(min(spread))], on[spread.index(max(spread))])
+        out.append([[float(x), float(y)] for x, y in ends])
+    return np.array(out).reshape(-1, 2, 2)
 
 
 def loop_facet_chord_length(points, heights, i, j, domain_verts):
@@ -266,6 +295,13 @@ def loop_facet_chord_length(points, heights, i, j, domain_verts):
     if not np.isfinite(lo) or not np.isfinite(hi):
         return 0.0
     return float(hi - lo)
+
+
+def loop_dual_measures(stats, edges) -> np.ndarray:
+    """Facet mass of each dual edge looked up in a dict of the facet pairs (0 if absent)."""
+    lookup = {(int(i), int(j)): float(m)
+              for (i, j), m in zip(stats.facet_pairs, stats.facet_measures)}
+    return np.array([lookup.get((int(i), int(j)), 0.0) for i, j in edges])
 
 
 def loop_polygon_moments(verts: np.ndarray):

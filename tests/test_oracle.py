@@ -1,19 +1,23 @@
-"""Neighbour-only power diagram against the all-pairs oracle.
+"""Power diagram from the regular triangulation against the all-pairs oracle.
 
-``exact_cell_stats_2d`` clips each cell only against its regular
-triangulation neighbours. These tests compare it with the brute-force
-clipper in ``oracle.py`` on generic and degenerate inputs, over a box, the
-256-gon disk and a polygon domain, and on affine lifts with the exact
-rational clipper there. Cells inside the domain are rings of power
-centres and never reach the clipper; the spies below check which rows do.
+``exact_cell_stats_2d`` builds every cell from the power centres of the
+lower triangles and the domain edges, without clipping. These tests compare
+it with the brute-force clipper in ``oracle.py`` on generic, random and
+degenerate inputs, over a box, the 256-gon disk and a polygon domain, and
+on affine lifts with the exact rational clipper there. The spies below
+check that no cell reaches ``clip_cells`` and that hidden targets are never
+built.
 """
 import collections
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdot
+import sdot.geometry
 import sdot.potential
 from sdot.potential import (
     ADJACENCY_TOL,
@@ -28,6 +32,8 @@ from sdot.solver import hessian
 from oracle import (
     all_pairs_cell_stats_2d,
     exact_cell_masses,
+    exact_facet_ends,
+    loop_dual_measures,
     loop_facet_chord_length,
     loop_hessian,
 )
@@ -145,15 +151,9 @@ def test_degenerate_dual_matches_diagram(case, domain_name):
 @pytest.mark.parametrize("sigma", [0.01, 0.1, 0.5])
 @pytest.mark.parametrize("domain_name", sorted(DOMAINS))
 def test_hidden_targets_match_oracle(monkeypatch, domain_name, sigma):
-    """Noisy paraboloid lifts hide targets; hidden cells are never clipped."""
-    clip_cells = sdot.potential.clip_cells
-    widths = []
-
-    def spy(base_verts, points, heights, candidates):
-        widths.append(np.shape(candidates)[1])
-        return clip_cells(base_verts, points, heights, candidates)
-
-    monkeypatch.setattr(sdot.potential, "clip_cells", spy)
+    """Noisy paraboloid lifts hide targets; hidden cells are never built."""
+    clips = clip_calls(monkeypatch)
+    built = facet_builds(monkeypatch)
     domain = DOMAINS[domain_name]
     hidden = 0
     for k in range(6):
@@ -166,9 +166,29 @@ def test_hidden_targets_match_oracle(monkeypatch, domain_name, sigma):
         got = assert_matches_oracle(pot, domain)
         assert legendre_dual(pot, domain=domain).edge_set() == got.adjacency_set()
         edges, hull, _ = _lower_hull_edges(target.points, heights)
-        assert widths.pop() <= np.bincount(edges.ravel()).max()
+        _, _, built_edges, built_triangles = built.pop()
+        assert set(built_edges.ravel()) | set(built_triangles.ravel()) <= set(hull.tolist())
         hidden += 20 - len(hull)
     assert hidden > 0
+    assert clips == []
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 30),
+       sigma=st.sampled_from([0.01, 0.1, 0.5]), domain_name=st.sampled_from(sorted(DOMAINS)))
+@settings(max_examples=60, deadline=None)
+def test_random_diagrams_match_oracle_and_are_watertight(seed, n, sigma, domain_name):
+    """Noisy paraboloid lifts over each domain: the diagram matches the
+    all-pairs oracle, both ends of every facet are corners of both its
+    cells, bit for bit, and the masses sum to one."""
+    rng = np.random.default_rng(seed)
+    target = uniform_target(rng, n)
+    heights = (-0.5 * rng.uniform(0.5, 2.0) * np.sum(target.points ** 2, axis=1)
+               + sigma * rng.standard_normal(n))
+    got = assert_matches_oracle(BrenierPotential(target, heights), DOMAINS[domain_name])
+    for (i, j), ends in zip(got.facet_pairs, got.facet_segments):
+        for cell in (got.cells[i], got.cells[j]):
+            assert all((cell == end).all(axis=1).any() for end in ends)
+    assert abs(got.cell_measures.sum() - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("domain_name", ["box", "disk"])
@@ -195,24 +215,47 @@ def test_chord_length_matches_loop(duality_instances, domain_name):
         assert np.array_equal(_facet_chord_lengths(points, heights, edges, verts), want)
 
 
+@pytest.mark.parametrize("domain_name", sorted(DOMAINS))
+def test_dual_measures_match_lookup(duality_instances, domain_name):
+    domain = DOMAINS[domain_name]
+    for pot in duality_instances:
+        stats = exact_cell_stats_2d(pot, domain)
+        for edges_from in (None, domain):
+            dual = legendre_dual(pot, domain=edges_from, stats=stats)
+            assert np.array_equal(dual.facet_measures, loop_dual_measures(stats, dual.edges))
+
+
 def test_hessian_matches_loop(duality_instances):
     for pot in duality_instances[:5]:
         stats = exact_cell_stats_2d(pot, DOMAINS["box"])
         assert np.array_equal(hessian(stats, pot.target), loop_hessian(stats, pot.target))
 
 
-def clipped_targets(monkeypatch, target):
-    """Spy on ``clip_cells``: per call, the set of targets whose rows it clips."""
-    clip_cells = sdot.potential.clip_cells
+def clip_calls(monkeypatch):
+    """Spy on ``clip_cells``, in ``sdot.geometry`` and wherever else the
+    diagram build could reach it: the list of its calls."""
+    clip_cells = sdot.geometry.clip_cells
     calls = []
 
-    def spy(base_verts, points, heights, candidates):
-        sites = np.asarray(points)[:len(candidates)]
-        calls.append({int(np.flatnonzero((target.points == y).all(axis=1))[0])
-                      for y in sites})
-        return clip_cells(base_verts, points, heights, candidates)
+    def spy(*args):
+        calls.append(args)
+        return clip_cells(*args)
 
-    monkeypatch.setattr(sdot.potential, "clip_cells", spy)
+    monkeypatch.setattr(sdot.geometry, "clip_cells", spy)
+    monkeypatch.setattr(sdot.potential, "clip_cells", spy, raising=False)
+    return calls
+
+
+def facet_builds(monkeypatch):
+    """Spy on the facet builder: the (points, heights, edges, triangles) of each call."""
+    power_facets = sdot.potential._power_facets
+    calls = []
+
+    def spy(points, heights, edges, triangles, domain_verts):
+        calls.append((points, heights, edges, triangles))
+        return power_facets(points, heights, edges, triangles, domain_verts)
+
+    monkeypatch.setattr(sdot.potential, "_power_facets", spy)
     return calls
 
 
@@ -239,14 +282,16 @@ def boundary_and_outside(potential, domain, margin):
 
 
 def test_ring_cells_never_reach_the_clipper(monkeypatch, cluster_instance, unit_disk):
+    """No cell is clipped. The cells of targets inside the triangulation
+    whose power centres all lie inside the domain are the rings of those
+    centres."""
     target, potential, _ = cluster_instance
-    calls = clipped_targets(monkeypatch, target)
+    calls = clip_calls(monkeypatch)
     got = assert_matches_oracle(potential, unit_disk)
-    (clipped,) = calls
+    assert calls == []
     boundary, outside = boundary_and_outside(potential, unit_disk, 3.0 * ADJACENCY_TOL)
-    assert clipped == boundary | outside
     hull = set(np.unique(_lower_facets(target.points, potential.heights)).tolist())
-    rings = hull - clipped
+    rings = hull - (boundary | outside)
     assert len(rings) >= 5
     assert all(len(got.cells[i]) >= 3 for i in rings)
 
@@ -269,13 +314,13 @@ def test_one_qhull_call_per_stats_call(monkeypatch, cluster_instance, unit_disk)
 def test_cocircular_fans_drop_repeated_centres(monkeypatch):
     """On the 5 x 5 grid with paraboloid heights both triangles of a grid
     square share one power centre: each inner cell keeps 4 of its fan's
-    centres, and only the 16 outer targets are clipped."""
+    centres, and no cell is clipped."""
     pot = degenerate_cases()["grid25-cocircular"]
-    calls = clipped_targets(monkeypatch, pot.target)
+    calls = clip_calls(monkeypatch)
     got = assert_matches_oracle(pot, DOMAINS["box"])
     inner = {i for i, y in enumerate(pot.target.points) if np.abs(y).max() < 1.0}
     assert len(inner) == 9
-    assert calls == [set(range(25)) - inner]
+    assert calls == []
     fans = np.bincount(_lower_facets(pot.target.points, pot.heights).ravel())
     assert fans[sorted(inner)].sum() > 4 * len(inner)
     for i in inner:
@@ -284,8 +329,8 @@ def test_cocircular_fans_drop_repeated_centres(monkeypatch):
 
 def test_centre_on_domain_boundary_goes_to_clipper(monkeypatch):
     """A fan of five triangles about the origin; one power centre lies on a
-    domain edge, or 1e-12 inside it. That cell is clipped; with the edge
-    moved out by 0.01 it is a ring."""
+    domain edge, 1e-12 inside it, or 0.01 inside it. No cell is clipped,
+    and the centre's cell has five corners each time."""
     angles = 2.0 * np.pi * np.arange(5) / 5.0
     pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
     target = sdot.validate_target(pts)
@@ -294,12 +339,37 @@ def test_centre_on_domain_boundary_goes_to_clipper(monkeypatch):
     centre = np.linalg.solve(y[1:] - y[0], h[0] - h[1:])
     normal = centre / np.linalg.norm(centre)
     along = np.array([-normal[1], normal[0]])
-    calls = clipped_targets(monkeypatch, target)
-    for shift, is_ring in [(0.0, False), (1e-12, False), (0.01, True)]:
+    calls = clip_calls(monkeypatch)
+    for shift in [0.0, 1e-12, 0.01]:
         edge_mid = centre + shift * normal
         domain = sdot.polygon_domain([edge_mid - 3.0 * along, edge_mid + 3.0 * along,
                                       edge_mid + 3.0 * along - 4.0 * normal,
                                       edge_mid - 3.0 * along - 4.0 * normal])
-        got = assert_matches_oracle(pot, domain)
-        assert (0 not in calls.pop()) == is_ring
+        if shift == 1e-12:
+            got = assert_no_farther_from_exact(pot, domain)
+        else:
+            got = assert_matches_oracle(pot, domain)
         assert len(got.cells[0]) == 5
+    assert calls == []
+
+
+def assert_no_farther_from_exact(potential, domain):
+    """Same cells and facets as the float oracle, with masses and facet
+    ends no farther from exact rational arithmetic than the oracle's.
+
+    For a power centre 1e-12 inside a domain edge, the oracle's clipper
+    makes two vertices 1e-12 apart and its dedupe drops one, which moves
+    that corner by about 1e-12; the diagram build keeps the centre itself.
+    """
+    got = exact_cell_stats_2d(potential, domain)
+    want = all_pairs_cell_stats_2d(potential, domain)
+    assert ([i for i, c in enumerate(got.cells) if len(c) == 0]
+            == [i for i, c in enumerate(want.cells) if len(c) == 0])
+    assert np.array_equal(got.facet_pairs, want.facet_pairs)
+    masses = exact_cell_masses(potential, domain)
+    assert (np.abs(got.cell_measures - masses).max()
+            <= np.abs(want.cell_measures - masses).max())
+    ends = exact_facet_ends(potential, domain, want.facet_pairs)
+    assert (np.abs(got.facet_segments - ends).max()
+            <= np.abs(want.facet_segments - ends).max())
+    return got

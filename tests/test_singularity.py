@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -328,3 +332,14 @@ class TestSubgradientExtent:
     def test_vertex_not_found(self, grid_graph):
         with pytest.raises(VertexNotFoundError):
             cell_subgradient_extent(grid_graph, 10**6)
+
+
+def test_import_leaves_csgraph_unloaded():
+    """``import sdot`` (and the CLI module) does not load
+    ``scipy.sparse.csgraph``; ``singular_chains`` imports it when called."""
+    src = str(Path(sdot.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sdot, sdot.cli; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 import sdot
+import sdot.geometry
 import sdot.potential
 import sdot.solver
 from sdot.potential import (
@@ -323,11 +324,12 @@ class TestHullFirstRejection:
 
     def test_one_qhull_call_per_trial(self, monkeypatch, cluster_instance, unit_disk):
         target, _, _ = cluster_instance
-        hulls, trials, built, clipped = [], [], [], []
+        hulls, trials, built, facets, clipped = [], [], [], [], []
         convex_hull = sdot.potential.ConvexHull
         stats_fn_for = sdot.solver._stats_fn_for
         stats = sdot.solver.exact_cell_stats_2d
-        clip_cells = sdot.potential.clip_cells
+        power_facets = sdot.potential._power_facets
+        clip_cells = sdot.geometry.clip_cells
 
         def hull_spy(*args, **kwargs):
             hulls.append(1)
@@ -346,23 +348,29 @@ class TestHullFirstRejection:
             built.append(potential.heights.copy())
             return stats(potential, *args, **kwargs)
 
-        def clip_spy(base_verts, points, heights, candidates):
-            clipped.append((np.array(points), np.array(heights)))
-            return clip_cells(base_verts, points, heights, candidates)
+        def facet_spy(points, heights, *args):
+            facets.append((np.array(points), np.array(heights)))
+            return power_facets(points, heights, *args)
+
+        def clip_spy(*args):
+            clipped.append(args)
+            return clip_cells(*args)
 
         monkeypatch.setattr(sdot.potential, "ConvexHull", hull_spy)
         monkeypatch.setattr(sdot.solver, "_stats_fn_for", counting_for)
         monkeypatch.setattr(sdot.solver, "exact_cell_stats_2d", stats_spy)
-        monkeypatch.setattr(sdot.potential, "clip_cells", clip_spy)
+        monkeypatch.setattr(sdot.potential, "_power_facets", facet_spy)
+        monkeypatch.setattr(sdot.geometry, "clip_cells", clip_spy)
         report = solve(unit_disk, target)
         monkeypatch.setattr(sdot.potential, "ConvexHull", convex_hull)
 
         assert report.converged
         assert len(hulls) == len(trials)
         assert any(trials)
-        assert len(built) == trials.count(False) == len(clipped)
+        assert len(built) == trials.count(False) == len(facets)
         assert not any(hides_a_target(target.points, h) for h in built)
-        assert not any(hides_a_target(p, h) for p, h in clipped)
+        assert not any(hides_a_target(p, h) for p, h in facets)
+        assert clipped == []
 
     def test_energy_at_hidden_target_raises(self, unit_square, collinear_hidden):
         target, h = collinear_hidden
