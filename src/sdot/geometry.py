@@ -2,9 +2,9 @@
 
 The continuous side of the transport problem lives here: convex compact
 domains carrying a uniform probability density, Monte Carlo sampling, and
-the polygon arithmetic: half-plane clipping of many polygons at once, the
-dedupe of ring vertices, and one shoelace pass for the moments of many
-polygons, which the exact 2D cell computations are built on.
+the polygon arithmetic: the half-plane clip of one polygon, the dedupe of
+ring vertices, and one shoelace pass for the moments of many polygons,
+which the exact 2D cell computations are built on.
 """
 from __future__ import annotations
 
@@ -19,6 +19,10 @@ DEGENERACY_TOL = 1e-12
 
 # Number of sides of the inscribed polygon standing in for a 2D disk.
 DISK_SIDES = 256
+
+# The unit circle's DISK_SIDES-gon, CCW from angle 0.
+_DISK_THETA = 2.0 * math.pi * np.arange(DISK_SIDES) / DISK_SIDES
+_UNIT_DISK_RING = np.stack([np.cos(_DISK_THETA), np.sin(_DISK_THETA)], axis=1)
 
 
 class GeometryError(ValueError):
@@ -158,90 +162,6 @@ def segment_length(p, q) -> float:
     return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
 
 
-def clip_cells(base_verts, points, heights, candidates) -> tuple:
-    """Clip the polygon ``base_verts`` down to one power cell per candidate row.
-
-    Row i is the cell of site i: it keeps the half-plane
-    ``<x, y_j - y_i> <= h_i - h_j`` of each candidate j in ``candidates[i]``,
-    visited in column order up to the first -1, which pads the end of a
-    row. All rows start from the base polygon and are held together as one
-    zero-padded array with per-row vertex counts, wide enough for one more
-    vertex per candidate. The rows are sorted once by their number of
-    candidates, most first (a stable sort), so the rows that have an r-th
-    candidate are a prefix of the array. Round r clips that prefix, sliced
-    to its largest vertex count, against each row's r-th candidate; an
-    empty cell keeps count 0 and is never cut again. One un-permute at the
-    end restores the row order.
-
-    With s = <v, y_j - y_i> - (h_i - h_j) at each vertex v, one clip skips
-    the constraint when every s <= 0 and empties the cell when every
-    s >= 0 (boundary-only contact has no area). Otherwise it keeps the
-    vertices with s <= 0 plus the crossing p + t(q - p), t = sp/(sp - sq),
-    of every edge pq whose ends lie on opposite sides, drops vertices within
-    DEGENERACY_TOL * (1 + largest coordinate magnitude) of their cyclic
-    predecessor, and treats fewer than 3 vertices as empty.
-
-    Returns the zero-padded (rows, W, 2) vertex array and the (rows,)
-    vertex counts; an empty cell has count 0.
-    """
-    base = np.asarray(base_verts, dtype=float).reshape(-1, 2)
-    candidates = np.asarray(candidates, dtype=np.int64)
-    rows, rounds = candidates.shape
-    has = np.logical_and.accumulate(candidates >= 0, axis=1)  # row has an r-th candidate
-    running = has.sum(axis=0)
-    order = np.argsort(-has.sum(axis=1), kind="stable")
-    candidates = candidates[order]
-    verts = np.zeros((rows, len(base) + rounds, 2))
-    verts[:, :len(base)] = base
-    counts = np.full(rows, len(base))
-    for r in range(rounds):
-        m = running[r]
-        width = counts[:m].max(initial=0)
-        if width == 0:
-            break
-        ids, j, v = order[:m], candidates[:m, r], verts[:m, :width]
-        a = points[j] - points[ids]
-        b = heights[ids] - heights[j]
-        s = (v @ a[:, :, None])[:, :, 0] - b[:, None]
-        live = np.arange(width) < counts[:m, None]
-        # rows with every s <= 0 skip; cut rows with every s >= 0 are empty
-        cut = ((s > 0.0) & live).any(axis=1)
-        mixed = cut & ((s < 0.0) & live).any(axis=1)
-        counts[:m][cut & ~mixed] = 0
-        if mixed.any():
-            rows_cut = np.flatnonzero(mixed)
-            clipped, counts[rows_cut] = _clip_rows(v[rows_cut], counts[rows_cut], s[rows_cut])
-            verts[rows_cut, :clipped.shape[1]] = clipped
-            verts[rows_cut, clipped.shape[1]:width] = 0.0
-    verts[counts == 0] = 0.0
-    out = np.zeros((rows, counts.max(initial=0), 2))
-    out[order] = verts[:, :out.shape[1]]
-    return out, counts[np.argsort(order)]
-
-
-def _clip_rows(verts, counts, s):
-    """One clip of each padded row at the sign changes of its ``s`` values.
-
-    Returns the clipped rows and their counts, 0 for a collapsed cell.
-    """
-    live = np.arange(verts.shape[1]) < counts[:, None]
-    keep = (s <= 0.0) & live
-    cross = (keep != (_ring_next(s, counts) <= 0.0)) & live
-    # each edge emits its start vertex if kept, then its crossing if any;
-    # ``end`` is the slot after an edge's output
-    end = np.cumsum(keep.astype(np.int64) + cross, axis=1)
-    ring = np.zeros((len(verts), end[:, -1].max(), 2))
-    r, k = np.nonzero(keep)
-    ring[r, end[r, k] - 1 - cross[r, k]] = verts[r, k]
-    r, k = np.nonzero(cross)
-    k_next = np.where(k + 1 < counts[r], k + 1, 0)
-    sp, sq = s[r, k], s[r, k_next]
-    p, q = verts[r, k], verts[r, k_next]
-    t = sp / (sp - sq)
-    ring[r, end[r, k] - 1] = p + t[:, None] * (q - p)
-    return _drop_repeats(ring, end[:, -1])
-
-
 def _drop_repeats(ring, counts):
     """Drop each vertex of a padded ring within DEGENERACY_TOL of its cyclic predecessor.
 
@@ -257,13 +177,6 @@ def _drop_repeats(ring, counts):
     if not np.array_equal(keep, live):
         ring, counts = _pack(ring, keep)
     return ring, np.where(counts < 3, 0, counts)
-
-
-def _ring_next(x, counts):
-    """Row-wise cyclic successor x[:, (k + 1) % count]: a slice shift, wrap fixed per row."""
-    out = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
-    out[np.arange(len(x)), counts - 1] = x[:, 0]
-    return out
 
 
 def _ring_prev(x, counts):
@@ -285,13 +198,30 @@ def _pack(values, keep):
 def clip_halfplane(poly: ConvexPolygon, a, b: float) -> ConvexPolygon:
     """Intersect ``poly`` with the half-plane {x : <a,x> <= b}.
 
-    Returns a convex CCW polygon; the empty polygon when the intersection
-    has no interior. It is a one-row :func:`clip_cells` call: site 0 at the
-    origin with height ``b`` and one candidate, site 1 at ``a`` with height 0.
+    With s = <v, a> - b at each vertex v, the polygon comes back as it is
+    when every s <= 0 and empty when every s >= 0 (boundary-only contact
+    has no area). Otherwise it keeps the vertices with s <= 0 plus the
+    crossing p + t(q - p), t = sp/(sp - sq), of every edge pq whose ends
+    lie on opposite sides, in ring order, and drops repeated vertices with
+    :func:`_drop_repeats`; fewer than 3 left is the empty polygon.
     """
-    points = np.array([[0.0, 0.0], np.asarray(a, dtype=float)])
-    verts, counts = clip_cells(poly.vertices, points, np.array([float(b), 0.0]), [[1]])
-    return ConvexPolygon(verts[0, :counts[0]])
+    verts = poly.vertices
+    s = verts @ np.asarray(a, dtype=float) - float(b)
+    if np.all(s <= 0.0):
+        return poly
+    if np.all(s >= 0.0):
+        return ConvexPolygon(np.zeros((0, 2)))
+    inside = s <= 0.0
+    kept = np.flatnonzero(inside)
+    edges = np.flatnonzero(inside != _cycled(inside))
+    ends = (edges + 1) % len(verts)
+    p, q, sp, sq = verts[edges], verts[ends], s[edges], s[ends]
+    crossings = p + (sp / (sp - sq))[:, None] * (q - p)
+    # edge k emits its start vertex if kept, then its crossing if any
+    slots = np.argsort(np.concatenate((2 * kept, 2 * edges + 1)))
+    ring = np.concatenate((verts[kept], crossings))[slots]
+    ring, count = _drop_repeats(ring[None], np.array([len(ring)]))
+    return ConvexPolygon(ring[0, :count[0]])
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -448,9 +378,7 @@ class Ball:
         """
         if self.dimension != 2:
             raise DimensionUnsupportedError("exact clipping needs a 2D domain")
-        theta = 2.0 * math.pi * np.arange(DISK_SIDES) / DISK_SIDES
-        ring = self.center + self.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return ConvexPolygon(ring)
+        return ConvexPolygon(self.center + self.radius * _UNIT_DISK_RING)
 
 
 @dataclass(frozen=True, eq=False)

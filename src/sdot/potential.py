@@ -385,10 +385,10 @@ def _cell_rings(owner, corners, n):
     """Each cell's corners in CCW order: a zero-padded (n, W, 2) array and the (n,) counts.
 
     One lexsort by (cell, angle about the mean of the cell's corners) orders
-    every cell at once. As in :func:`~sdot.geometry.clip_cells`, a corner
-    within DEGENERACY_TOL * (1 + largest coordinate magnitude) of its cyclic
-    predecessor is dropped (:func:`~sdot.geometry._drop_repeats`), and a
-    cell left with fewer than 3 corners is empty (count 0).
+    every cell at once. As in :func:`~sdot.geometry.clip_halfplane`, a
+    corner within DEGENERACY_TOL * (1 + largest coordinate magnitude) of its
+    cyclic predecessor is dropped (:func:`~sdot.geometry._drop_repeats`),
+    and a cell left with fewer than 3 corners is empty (count 0).
     """
     total = np.bincount(owner, minlength=n)
     mean = np.column_stack([np.bincount(owner, corners[:, 0], n),
@@ -471,8 +471,9 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     of ``(<y_i, u>, h_i)`` along their line direction u instead.
 
     With a ``domain``, edges whose dual power-diagram facet misses the
-    domain are dropped, restoring the exact duality with the clipped
-    diagram: edge (i, j) present iff its facet mass is positive.
+    domain are dropped, restoring the exact duality with the power diagram
+    restricted to the domain: edge (i, j) present iff its facet mass is
+    positive.
     The facet is the chord of the (i, j) bisector line left by the
     triangulation neighbours of i and the domain edges; all chords are
     measured in one batched pass. With exact ``stats`` (facet pairs in key

@@ -4,7 +4,7 @@ The height vector h is the minimizer of the convex energy
 
     E(h) = integral of max_i(<x, y_i> + h_i) dmu(x)  -  sum_i h_i nu_i,
 
-computed exactly in 2D from the first moments of the clipped cell polygons.
+computed exactly in 2D from the first moments of the power cell polygons.
 Its gradient is ``w(h) - nu`` (cell masses minus target weights) and its
 Hessian couples adjacent cells through their shared facet mass over the
 distance between their targets. Minimizing E while keeping every cell mass
@@ -157,7 +157,7 @@ def _stats_fn_for(domain, target, config: SolverConfig):
     """Per-mode evaluator h -> PowerCellStats, or None for an empty cell.
 
     The stats carry F(h), the mean of the envelope u_h over the source:
-    exact from the clipped cells in 2D, the mean over the frozen samples
+    exact from the power cells in 2D, the mean over the frozen samples
     in Monte Carlo mode. In 2D the evaluator first computes the regular
     triangulation of (target, h). When a target is not a vertex of it, its
     cell is empty and the evaluator returns None without building the
@@ -228,7 +228,7 @@ def energy(potential: BrenierPotential, domain, h_base=None) -> float:
     F(h) is the integral of the envelope u_h = max_i(<x, y_i> + h_i)
     against the uniform source, computed exactly as
     sum_i (<y_i, first moment of cell i> + h_i area_i) / domain area from
-    the clipped cell polygons. Its gradient is the cell masses, so the
+    the power cell polygons. Its gradient is the cell masses, so the
     energy's gradient is ``w(h) - nu``. The default ``h_base`` is zero
     heights, or scaled-Voronoi heights if zero heights leave an empty cell.
     Both endpoints must have every cell mass positive (the admissible set

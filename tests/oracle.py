@@ -2,8 +2,8 @@
 
 The oracle owns the scalar clipper: ``_clip_vertices`` clips one convex
 polygon against one half-plane with a loop over its edges, and
-``_cell_vertices`` chains it over one cell's targets. ``sdot`` clips many
-polygons at once in ``sdot.geometry.clip_cells``; nothing here imports it.
+``_cell_vertices`` chains it over one cell's targets. ``sdot`` clips one
+polygon in ``sdot.geometry.clip_halfplane``; nothing here imports it.
 ``all_pairs_cell_stats_2d`` clips every cell against every other target,
 nearest first, and scans all i < j pairs for shared facets. It reads no
 triangulation, so it stays independent of the triangle power centres that

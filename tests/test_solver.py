@@ -3,7 +3,6 @@ import pytest
 from scipy import stats as scipy_stats
 
 import sdot
-import sdot.geometry
 import sdot.potential
 import sdot.solver
 from sdot.potential import (
@@ -324,12 +323,11 @@ class TestHullFirstRejection:
 
     def test_one_qhull_call_per_trial(self, monkeypatch, cluster_instance, unit_disk):
         target, _, _ = cluster_instance
-        hulls, trials, built, facets, clipped = [], [], [], [], []
+        hulls, trials, built, facets = [], [], [], []
         convex_hull = sdot.potential.ConvexHull
         stats_fn_for = sdot.solver._stats_fn_for
         stats = sdot.solver.exact_cell_stats_2d
         power_facets = sdot.potential._power_facets
-        clip_cells = sdot.geometry.clip_cells
 
         def hull_spy(*args, **kwargs):
             hulls.append(1)
@@ -352,15 +350,10 @@ class TestHullFirstRejection:
             facets.append((np.array(points), np.array(heights)))
             return power_facets(points, heights, *args)
 
-        def clip_spy(*args):
-            clipped.append(args)
-            return clip_cells(*args)
-
         monkeypatch.setattr(sdot.potential, "ConvexHull", hull_spy)
         monkeypatch.setattr(sdot.solver, "_stats_fn_for", counting_for)
         monkeypatch.setattr(sdot.solver, "exact_cell_stats_2d", stats_spy)
         monkeypatch.setattr(sdot.potential, "_power_facets", facet_spy)
-        monkeypatch.setattr(sdot.geometry, "clip_cells", clip_spy)
         report = solve(unit_disk, target)
         monkeypatch.setattr(sdot.potential, "ConvexHull", convex_hull)
 
@@ -370,7 +363,6 @@ class TestHullFirstRejection:
         assert len(built) == trials.count(False) == len(facets)
         assert not any(hides_a_target(target.points, h) for h in built)
         assert not any(hides_a_target(p, h) for p, h in facets)
-        assert clipped == []
 
     def test_energy_at_hidden_target_raises(self, unit_square, collinear_hidden):
         target, h = collinear_hidden
