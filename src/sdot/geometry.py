@@ -131,18 +131,23 @@ def polygon_centroid(poly) -> np.ndarray:
 def polygon_moments(polygons) -> np.ndarray:
     """Area, first moments (x, y) and axis second moments (xx, yy) of CCW rings.
 
-    Returns an (n, 5) array; a ring with fewer than 3 vertices gives a zero
-    row. One pass serves every ring: the rings are concatenated, each vertex
-    indexes its cyclic successor, and ``np.add.reduceat`` sums each ring's
-    shoelace terms. Short rings are left out first, because ``reduceat``
-    returns the element at a start index, not 0, when two starts are equal.
+    Returns an (n, 5) array; a ring with fewer than 3 vertices gives a zero row.
     """
-    sizes = np.array([len(p) for p in polygons], dtype=np.int64)
+    rings = [p if len(p) >= 3 else np.zeros((0, 2)) for p in polygons]
+    return _packed_moments(np.concatenate([np.zeros((0, 2)), *rings], dtype=float),
+                           np.array([len(p) for p in rings], dtype=np.int64))
+
+
+def _packed_moments(verts, sizes) -> np.ndarray:
+    """:func:`polygon_moments` in one pass over rings laid end to end, of sizes 0 or >= 3.
+
+    ``np.add.reduceat`` sums each ring's shoelace terms. Empty rings are left out first:
+    it returns the element at a start index, not 0, when two starts are equal.
+    """
     out = np.zeros((len(sizes), 5))
-    real = sizes >= 3
+    real = sizes > 0
     if not real.any():
         return out
-    verts = np.concatenate([p for p, ok in zip(polygons, real) if ok], dtype=float)
     sizes = sizes[real]
     starts = np.cumsum(sizes) - sizes
     succ = np.arange(1, len(verts) + 1)
@@ -281,7 +286,8 @@ class Box:
     seed: int = 0
 
     def __post_init__(self):
-        b = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+        b = np.array(self.bounds, dtype=float).reshape(-1, 2)
+        b.flags.writeable = False  # a copy no one can move under a built domain
         if not np.all(np.isfinite(b)):
             raise GeometryError("box bounds must be finite")
         if np.any(b[:, 1] <= b[:, 0]):
@@ -333,7 +339,8 @@ class Ball:
     seed: int = 0
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(-1)
+        c = np.array(self.center, dtype=float).reshape(-1)
+        c.flags.writeable = False
         if not (np.all(np.isfinite(c)) and np.isfinite(self.radius) and self.radius > 0):
             raise GeometryError("ball needs a finite center and positive radius")
         object.__setattr__(self, "center", c)
@@ -389,10 +396,10 @@ class PolygonDomain:
     seed: int = 0
 
     def __post_init__(self):
-        poly = self.polygon
-        if not isinstance(poly, ConvexPolygon):
-            poly = ConvexPolygon.from_vertices(poly)
-            object.__setattr__(self, "polygon", poly)
+        verts = self.polygon.vertices if isinstance(self.polygon, ConvexPolygon) else self.polygon
+        poly = ConvexPolygon.from_vertices(np.array(verts, dtype=float))
+        poly.vertices.flags.writeable = False
+        object.__setattr__(self, "polygon", poly)
         if poly.is_empty or poly.area() <= 0:
             raise GeometryError("polygon domain must have positive area")
 

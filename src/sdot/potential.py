@@ -20,6 +20,9 @@ ends of its facets plus the domain vertices it holds, put in CCW order by
 one sort over all cells. ``legendre_dual`` bounds each facet chord a second
 way, by the triangulation neighbours and the same domain cut, and measures
 every chord in one pass.
+
+Work that does not depend on the heights is done once: the domain's clip
+ring once per domain object, the targets' collinearity test once per solve.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from .geometry import (
     GeometryError,
     _cycled,
     _drop_repeats,
+    _packed_moments,
     polygon_area,
-    polygon_moments,
     sample_source,
 )
 
@@ -251,17 +254,18 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
     Cell i's corners are the ends of its facets, the same floats in both
     cells of a facet, plus the domain vertices whose highest hull plane is
     i's; :func:`_cell_rings` puts them in CCW order. No cell is clipped.
+    The domain's clip ring (:func:`_clip_ring`) is built once per domain.
 
-    ``triangulation``, when given, is the ``(edges, hull, triangles)``
-    triple that :func:`_lower_hull_edges` returned for these targets and
-    heights. It is used instead of a qhull call of its own, so a caller that
-    already needed the triangulation (the solver, to reject heights that
-    hide a target) pays for one qhull call per diagram.
+    ``triangulation``, when given, is the ``(edges, hull, triangles)`` triple
+    that :func:`_lower_hull_edges` returned for these targets and heights. It
+    is used instead of a qhull call of its own, so a caller that already
+    needed the triangulation (the solver, to reject heights that hide a
+    target) pays for one qhull call per diagram and one collinearity test
+    per target set.
     """
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
-    base_verts = domain.clip_polygon().vertices
-    area_domain = polygon_area(base_verts)
+    ring = _clip_ring(domain)
     points = potential.target.points
     heights = potential.heights
     n = potential.n
@@ -269,31 +273,50 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
     if triangulation is None:
         triangulation = _lower_hull_edges(points, heights)
     edges, hull, triangles = triangulation
-    ends, length, owner, corners = _power_facets(points, heights, edges, triangles, base_verts)
+    ends, length, owner, corners = _power_facets(points, heights, edges, triangles, ring)
     on_hull = BrenierPotential(
         DiscreteTargetMeasure(points[hull], potential.target.weights[hull]), heights[hull])
     verts, counts = _cell_rings(
-        np.concatenate([owner, hull[on_hull._reduce_planes(base_verts)]]),
-        np.concatenate([corners, base_verts]), n)
+        np.concatenate([owner, hull[on_hull._reduce_planes(ring.verts)]]),
+        np.concatenate([corners, ring.verts]), n)
     cells = [verts[i, :counts[i]] for i in range(n)]
-    a, sx, sy, _, _ = polygon_moments(cells).T
-    w = a / area_domain
+    a, sx, sy, _, _ = _packed_moments(verts[np.arange(verts.shape[1]) < counts[:, None]],
+                                      counts).T
+    w = a / ring.area
     envelope = points[:, 0] * sx + points[:, 1] * sy + heights * a
 
-    facet = ((length > _length_tol(base_verts))
+    facet = ((length > ring.tol)
              & (counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0))
-    return PowerCellStats(w, edges[facet], length[facet] / area_domain, ends[facet],
-                          cells, area_domain, True,
-                          envelope_mean=float(envelope.sum()) / area_domain)
+    return PowerCellStats(w, edges[facet], length[facet] / ring.area, ends[facet],
+                          cells, ring.area, True,
+                          envelope_mean=float(envelope.sum()) / ring.area)
 
 
-def _length_tol(domain_verts) -> float:
-    """Facet length tolerance: ADJACENCY_TOL x (1 + the domain's bounding-box diagonal)."""
-    diam = float(np.linalg.norm(domain_verts.max(axis=0) - domain_verts.min(axis=0)))
-    return ADJACENCY_TOL * (1.0 + diam)
+class _ClipRing:
+    """A CCW domain polygon with its area, facet length tolerance ``tol`` and the parts of
+    :func:`_domain_cut` that no height changes: inward edge normals, the vertex mean, and
+    the inscribed and circumscribed radii about it, with ``tol`` as margin."""
+
+    def __init__(self, verts):
+        edge = _cycled(verts) - verts
+        self.verts, self.area = verts, polygon_area(verts)
+        self.normals = np.column_stack([-edge[:, 1], edge[:, 0]])
+        self.centre = centre = verts.mean(axis=0)
+        diam = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+        self.tol = tol = ADJACENCY_TOL * (1.0 + diam)
+        dists = _row_dots(self.normals, centre - verts) / np.hypot(*edge.T)
+        self.inner = max(np.min(dists) - tol, 0.0)
+        self.outer = np.sqrt(np.max(_row_dots(verts - centre, verts - centre))) + tol
 
 
-def _power_facets(points, heights, edges, triangles, domain_verts):
+def _clip_ring(domain) -> _ClipRing:
+    """The domain's :class:`_ClipRing`, built on first use and kept on the (frozen) domain."""
+    if "_clip_ring" not in vars(domain):
+        object.__setattr__(domain, "_clip_ring", _ClipRing(domain.clip_polygon().vertices))
+    return domain._clip_ring
+
+
+def _power_facets(points, heights, edges, triangles, ring):
     """The facet of every triangulation edge inside the domain polygon, and the corners at its ends.
 
     The facet of edge (i, j) lies on the bisector p0 + t*direction
@@ -318,7 +341,7 @@ def _power_facets(points, heights, edges, triangles, domain_verts):
         centres, tri = np.zeros((0, 2)), np.full((2, len(edges)), -1)
         lo, hi, blocked = _neighbour_interval(points, heights, edges, p0, direction)
         bounds = np.stack([lo, hi])
-    lo, hi, blocked = _domain_cut(domain_verts, p0, direction, *bounds.copy(), blocked)
+    lo, hi, blocked = _domain_cut(ring, p0, direction, *bounds.copy(), blocked)
     t = np.stack([lo, hi])
     live = ~blocked & (lo < hi) & np.isfinite(t).all(axis=0)
     t[:, ~live] = 0.0
@@ -368,7 +391,7 @@ def _centre_bounds(points, heights, edges, triangles, p0, direction):
     b = triangles[:, [1, 2, 0]].ravel()
     tri = np.arange(len(a)) // 3
     # the edges are the triangles' distinct edges in key order
-    e = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)[1]
+    e = np.searchsorted(edges[:, 0] * n + edges[:, 1], np.minimum(a, b) * n + np.maximum(a, b))
     with np.errstate(invalid="ignore"):
         t = _row_dots(centres[tri] - p0[e], direction[e])
     turn = np.where(a < b, det[tri], -det[tri])
@@ -489,8 +512,8 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     edges, hull, _ = _lower_hull_edges(points, heights)
 
     if domain is not None and len(edges):
-        base = domain.clip_polygon().vertices
-        edges = edges[_facet_chord_lengths(points, heights, edges, base) > _length_tol(base)]
+        ring = _clip_ring(domain)
+        edges = edges[_facet_chord_lengths(points, heights, edges, ring.verts) > ring.tol]
 
     zero = np.setdiff1d(np.arange(n, dtype=np.int64), hull)
     measures = None
@@ -514,7 +537,7 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
     :func:`exact_cell_stats_2d` bounds its facets by.
     """
     p0, direction = _bisector_lines(points, heights, edges)
-    lo, hi, blocked = _domain_cut(domain_verts, p0, direction,
+    lo, hi, blocked = _domain_cut(_ClipRing(domain_verts), p0, direction,
                                   *_neighbour_interval(points, heights, edges, p0, direction))
     ok = ~blocked & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
     return np.where(ok, hi - lo, 0.0)
@@ -550,33 +573,28 @@ def _neighbour_interval(points, heights, edges, p0, direction):
     return _chord_interval(r, _row_dots(a, direction[:, None]))
 
 
-def _domain_cut(domain_verts, p0, direction, lo, hi, blocked):
-    """Narrow each line-parameter interval [lo, hi] to the domain polygon, in place.
+def _domain_cut(ring, p0, direction, lo, hi, blocked):
+    """Narrow each line-parameter interval [lo, hi] to the domain's clip ring, in place.
 
-    Only intervals that may cross the polygon's boundary meet its edges.
-    About the vertex mean, with the adjacency tolerance as margin: an
-    interval whose nearest point lies beyond the farthest vertex misses
-    the polygon and is blocked, and one with both ends inside the inscribed
-    circle is left as it is. Returns lo, hi and blocked.
+    Only intervals that may cross the ring's boundary meet its edges. About
+    the vertex mean, with the adjacency tolerance as margin: an interval
+    whose nearest point lies beyond the farthest vertex misses the polygon
+    and is blocked, and one with both ends inside the inscribed circle is
+    left as it is. Returns lo, hi and blocked.
     """
     # inward side of a CCW domain edge: cross(edge, x - v) >= 0,
     # i.e. <a, p0 + t*dir - v> >= 0  ->  t*s >= <a, v - p0>
-    edge = _cycled(domain_verts) - domain_verts
-    a_dom = np.column_stack([-edge[:, 1], edge[:, 0]])
-    centre = domain_verts.mean(axis=0)
-    tol = _length_tol(domain_verts)
-    inner = max(np.min(_row_dots(a_dom, centre - domain_verts) / np.hypot(*edge.T)) - tol, 0.0)
-    outer = np.sqrt(np.max(_row_dots(domain_verts - centre, domain_verts - centre))) + tol
+    centre = ring.centre
     nearest = p0 + np.clip(_row_dots(centre - p0, direction), lo, hi)[:, None] * direction
-    blocked |= _row_dots(nearest - centre, nearest - centre) > outer * outer
+    blocked |= _row_dots(nearest - centre, nearest - centre) > ring.outer * ring.outer
     bounded = np.isfinite(lo) & np.isfinite(hi)
     ends = p0[:, None] + np.where(bounded, [lo, hi], 0.0).T[:, :, None] * direction[:, None]
-    inside = bounded & np.all(np.sum((ends - centre) ** 2, axis=2) < inner * inner, axis=1)
+    inside = bounded & np.all(np.sum((ends - centre) ** 2, axis=2) < ring.inner ** 2, axis=1)
     cut = np.flatnonzero(~blocked & (lo < hi) & ~inside)
     if len(cut):
         lo_dom, hi_dom, blocked[cut] = _chord_interval(
-            _row_dots(a_dom, domain_verts - p0[cut, None]),
-            _row_dots(a_dom, direction[cut, None]))
+            _row_dots(ring.normals, ring.verts - p0[cut, None]),
+            _row_dots(ring.normals, direction[cut, None]))
         lo[cut] = np.maximum(lo[cut], lo_dom)
         hi[cut] = np.minimum(hi[cut], hi_dom)
     return lo, hi, blocked
@@ -648,23 +666,25 @@ def _unique_edges(pairs: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([key // n, key % n])
 
 
-def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
+def _lower_hull_edges(points: np.ndarray, heights: np.ndarray, line=False):
     """Sorted lower-hull edges (i < j), the sorted targets with a cell, and the lower triangles.
 
     The triangles are the (k, 3) lower facets of :func:`_lower_facets`, from
     its one qhull call. Collinear targets use the 1D upper hull of
-    (<y_i, u>, h_i) along their line direction u; coplanar lifted points
-    give the planar hull ring. Neither has triangles.
+    (<y_i, u>, h_i) along their line direction u (``line``, their
+    :func:`_collinear_direction`, found here unless given); coplanar lifted
+    points give the planar hull ring. Neither has triangles.
     """
     n = len(points)
     none = np.zeros((0, 3), dtype=np.int64)
     if n == 1:
         return np.zeros((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64), none
-    u = _collinear_direction(points)
-    if u is not None:
+    if line is False:
+        line = _collinear_direction(points)
+    if line is not None:
         # a target below its neighbours' chord has no cell, and consecutive
         # hull targets are adjacent
-        t = points @ u
+        t = points @ line
         tol = 1e-12 * (1.0 + np.abs(t).max() + np.abs(heights).max())
         hull = []
         for k in np.argsort(t, kind="stable"):
@@ -689,4 +709,4 @@ def _lower_hull_edges(points: np.ndarray, heights: np.ndarray):
     if not len(triangles):
         raise GeometryError("no lower hull facets found")
     return (_unique_edges(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), n),
-            np.unique(triangles), triangles)
+            np.flatnonzero(np.bincount(triangles.ravel())), triangles)

@@ -37,6 +37,7 @@ from .geometry import (
 from .potential import (
     BrenierPotential,
     PowerCellStats,
+    _collinear_direction,
     _lower_hull_edges,
     _row_dots,
     exact_cell_stats_2d,
@@ -162,12 +163,14 @@ def _stats_fn_for(domain, target, config: SolverConfig):
     triangulation of (target, h). When a target is not a vertex of it, its
     cell is empty and the evaluator returns None without building the
     diagram; otherwise the triangulation is passed on, so each evaluation
-    makes one qhull call.
+    makes one qhull call. The targets are tested for collinearity once.
     """
     if config.mode == "exact-2d":
+        line = _collinear_direction(target.points) if target.n > 1 else None
+
         def stats_fn(h):
             potential = BrenierPotential(target, h)
-            triangulation = _lower_hull_edges(target.points, potential.heights)
+            triangulation = _lower_hull_edges(target.points, potential.heights, line)
             if len(triangulation[1]) < target.n:
                 return None
             return exact_cell_stats_2d(potential, domain, triangulation=triangulation)

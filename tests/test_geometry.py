@@ -206,6 +206,26 @@ class TestDomains:
         with pytest.raises(GeometryError):
             sdot.box_domain([[0.0, 0.0], [0.0, 1.0]])
 
+    def test_domains_copy_and_freeze_their_arrays(self):
+        """A write to the caller's array leaves the domain as it was, and
+        the domain's own arrays refuse writes."""
+        bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        center = np.array([0.0, 0.0])
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        domains = [sdot.box_domain(bounds), sdot.disk_domain(center, 1.0),
+                   sdot.polygon_domain(square), sdot.geometry.PolygonDomain(ConvexPolygon(square))]
+        volumes = [d.volume() for d in domains]
+        bounds[0, 1] = 3.0
+        center[0] = 5.0
+        square[1, 0] = 4.0
+        assert [d.volume() for d in domains] == volumes == [4.0, np.pi, 1.0, 1.0]
+        assert domains[1].center.tolist() == [0.0, 0.0]
+        owned = [domains[0].bounds, domains[1].center,
+                 domains[2].polygon.vertices, domains[3].polygon.vertices]
+        for values in owned:
+            with pytest.raises(ValueError):
+                values[0] = 9.0
+
 
 class TestValidateTarget:
     def test_single_dirac(self):

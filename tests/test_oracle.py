@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import sdot
 import sdot.potential
+from sdot.geometry import polygon_moments
 from sdot.potential import (
     ADJACENCY_TOL,
     BrenierPotential,
@@ -169,22 +170,54 @@ def test_hidden_targets_match_oracle(monkeypatch, domain_name, sigma):
     assert hidden > 0
 
 
+def noisy_paraboloid(seed, n, sigma):
+    """Random targets lifted onto a paraboloid plus noise; sigma = 0.5 hides some."""
+    rng = np.random.default_rng(seed)
+    target = uniform_target(rng, n)
+    heights = (-0.5 * rng.uniform(0.5, 2.0) * np.sum(target.points ** 2, axis=1)
+               + sigma * rng.standard_normal(n))
+    return BrenierPotential(target, heights)
+
+
+SIGMAS = st.sampled_from([0.01, 0.1, 0.5])
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 30),
-       sigma=st.sampled_from([0.01, 0.1, 0.5]), domain_name=st.sampled_from(sorted(DOMAINS)))
+       sigma=SIGMAS, domain_name=st.sampled_from(sorted(DOMAINS)))
 @settings(max_examples=60, deadline=None)
 def test_random_diagrams_match_oracle_and_are_watertight(seed, n, sigma, domain_name):
     """Noisy paraboloid lifts over each domain: the diagram matches the
     all-pairs oracle, both ends of every facet are corners of both its
     cells, bit for bit, and the masses sum to one."""
-    rng = np.random.default_rng(seed)
-    target = uniform_target(rng, n)
-    heights = (-0.5 * rng.uniform(0.5, 2.0) * np.sum(target.points ** 2, axis=1)
-               + sigma * rng.standard_normal(n))
-    got = assert_matches_oracle(BrenierPotential(target, heights), DOMAINS[domain_name])
+    got = assert_matches_oracle(noisy_paraboloid(seed, n, sigma), DOMAINS[domain_name])
     for (i, j), ends in zip(got.facet_pairs, got.facet_segments):
         for cell in (got.cells[i], got.cells[j]):
             assert all((cell == end).all(axis=1).any() for end in ends)
     assert abs(got.cell_measures.sum() - 1.0) <= 1e-15
+
+
+@given(potential=st.one_of(
+           st.builds(noisy_paraboloid, st.integers(0, 2 ** 32 - 1), st.integers(1, 30), SIGMAS),
+           st.sampled_from(sorted(degenerate_cases())).map(lambda c: degenerate_cases()[c])),
+       domain_name=st.sampled_from(sorted(DOMAINS)))
+@settings(max_examples=100, deadline=None)
+def test_edge_ids_and_padded_moments_match_list_forms(potential, domain_name):
+    """The triangulation's sorted edge keys give each triangle side the id
+    that ``np.unique(..., return_inverse=True)`` gives it, and the masses
+    and envelope mean read from the padded rings equal, bit for bit, the
+    ones ``polygon_moments`` gives for the list of cells, empty cells and
+    n = 1 included."""
+    points, heights, n = potential.target.points, potential.heights, potential.n
+    edges, _, triangles = _lower_hull_edges(points, heights)
+    a, b = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    sides = np.minimum(a, b) * n + np.maximum(a, b)
+    assert np.array_equal(np.searchsorted(edges[:, 0] * n + edges[:, 1], sides),
+                          np.unique(sides, return_inverse=True)[1])
+    got = exact_cell_stats_2d(potential, DOMAINS[domain_name])
+    area, sx, sy, _, _ = polygon_moments(got.cells).T
+    assert np.array_equal(got.cell_measures, area / got.domain_area)
+    envelope = points[:, 0] * sx + points[:, 1] * sy + heights * area
+    assert got.envelope_mean == float(envelope.sum()) / got.domain_area
 
 
 @pytest.mark.parametrize("domain_name", ["box", "disk"])

@@ -287,6 +287,32 @@ class TestSolve:
         assert len(data["residual_history"]) == data["iterations"] + 1
 
 
+def test_clip_ring_built_once_per_domain(monkeypatch, cluster_instance):
+    """One solve on a fresh disk builds its clip ring once; stats on that
+    disk equal, bit for bit, stats on a newly built equal disk."""
+    target, _, _ = cluster_instance
+    clip_ring = sdot.potential._ClipRing
+    built = []
+
+    def spy(verts):
+        built.append(verts)
+        return clip_ring(verts)
+
+    monkeypatch.setattr(sdot.potential, "_ClipRing", spy)
+    disk = sdot.disk_domain([0.0, 0.0], 1.0, seed=3)
+    report = solve(disk, target)
+    assert report.converged and len(built) == 1
+    potential = BrenierPotential(target, report.heights)
+    got = exact_cell_stats_2d(potential, disk)
+    want = exact_cell_stats_2d(potential, sdot.disk_domain([0.0, 0.0], 1.0, seed=3))
+    assert len(built) == 2
+    for name in ("cell_measures", "facet_pairs", "facet_measures", "facet_segments"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert len(got.cells) == len(want.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(got.cells, want.cells))
+    assert got.envelope_mean == want.envelope_mean
+
+
 def hides_a_target(points, heights):
     """Whether some target is off the lower hull of the lifted targets."""
     return len(_lower_hull_edges(np.asarray(points), np.asarray(heights))[1]) < len(points)
