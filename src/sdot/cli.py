@@ -49,6 +49,9 @@ def _prepare(config_path, seed_override=None):
 
 def _load_solved(config, outdir: Path, needs_stats: bool = True):
     """Re-ingest the artifacts written by `solve`."""
+    if needs_stats and config.solver.mode != "exact-2d":
+        raise ConfigError("render and probe need exact-2d statistics; "
+                          f"solver.mode is {config.solver.mode!r}")
     heights_file = outdir / "heights.json"
     stats_file = outdir / "stats.json"
     target_file = outdir / "target.json"

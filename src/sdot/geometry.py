@@ -2,9 +2,10 @@
 
 The continuous side of the transport problem lives here: convex compact
 domains carrying a uniform probability density, Monte Carlo sampling, and
-the polygon arithmetic: the half-plane clip of one polygon, the dedupe of
-ring vertices, and one shoelace pass for the moments of many polygons,
-which the exact 2D cell computations are built on.
+the polygon arithmetic the exact 2D cell computations are built on: the
+half-plane clip of one polygon, the ring dedupe and one shoelace pass for
+the moments of many polygons. Batched polygon code takes the rings laid end
+to end, one (m, 2) corner array, with their (n,) sizes.
 """
 from __future__ import annotations
 
@@ -139,7 +140,7 @@ def polygon_moments(polygons) -> np.ndarray:
 
 
 def _packed_moments(verts, sizes) -> np.ndarray:
-    """:func:`polygon_moments` in one pass over rings laid end to end, of sizes 0 or >= 3.
+    """:func:`polygon_moments` of rings laid end to end with their sizes, each 0 or >= 3.
 
     ``np.add.reduceat`` sums each ring's shoelace terms. Empty rings are left out first:
     it returns the element at a start index, not 0, when two starts are equal.
@@ -167,37 +168,24 @@ def segment_length(p, q) -> float:
     return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
 
 
-def _drop_repeats(ring, counts):
-    """Drop each vertex of a padded ring within DEGENERACY_TOL of its cyclic predecessor.
+def _drop_repeats(verts, owner, n):
+    """Drop each corner within DEGENERACY_TOL of its cyclic predecessor in its own ring.
 
-    The tolerance scales with 1 + the row's largest coordinate magnitude;
-    padding zeros leave that maximum as it is. Rows are zero-padded on entry
-    and as wide as their longest ring. Returns the packed rows and their
-    counts, 0 for a row left with fewer than 3 vertices.
+    ``verts`` holds n rings laid end to end and ``owner`` (sorted) the ring of
+    each corner. The tolerance scales with 1 + the ring's largest coordinate
+    magnitude, and each corner is compared with its original predecessor.
+    Returns the kept corners, still end to end, and the (n,) ring sizes; a
+    ring left with fewer than 3 corners is dropped whole and has size 0.
     """
-    scale = 1.0 + np.abs(ring).max(axis=(1, 2))
-    step = np.abs(ring - _ring_prev(ring, counts)).max(axis=2)
-    live = np.arange(ring.shape[1]) < counts[:, None]
-    keep = live & (step > DEGENERACY_TOL * scale[:, None])
-    if not np.array_equal(keep, live):
-        ring, counts = _pack(ring, keep)
-    return ring, np.where(counts < 3, 0, counts)
-
-
-def _ring_prev(x, counts):
-    """Row-wise cyclic predecessor x[:, (k - 1) % count]."""
-    out = np.concatenate((x[:, -1:], x[:, :-1]), axis=1)
-    out[:, 0] = x[np.arange(len(x)), counts - 1]
-    return out
-
-
-def _pack(values, keep):
-    """Move each row's kept (row, slot) entries to its front, in order, zero-padded."""
-    counts = np.count_nonzero(keep, axis=1)
-    out = np.zeros((len(values), counts.max(initial=0), 2))
-    r, k = np.nonzero(keep)
-    out[r, np.cumsum(keep, axis=1)[r, k] - 1] = values[r, k]
-    return out, counts
+    ends = np.cumsum(np.bincount(owner, minlength=n))
+    first = np.diff(owner, prepend=-1) > 0
+    prev = np.where(first, ends[owner], np.arange(len(verts))) - 1
+    peak = np.maximum.reduceat(np.abs(verts).max(axis=1), np.flatnonzero(first))
+    scale = 1.0 + peak[np.cumsum(first) - 1]
+    keep = np.abs(verts - verts[prev]).max(axis=1) > DEGENERACY_TOL * scale
+    sizes = np.bincount(owner[keep], minlength=n)
+    keep &= (sizes >= 3)[owner]
+    return verts[keep], np.where(sizes < 3, 0, sizes)
 
 
 def clip_halfplane(poly: ConvexPolygon, a, b: float) -> ConvexPolygon:
@@ -225,8 +213,7 @@ def clip_halfplane(poly: ConvexPolygon, a, b: float) -> ConvexPolygon:
     # edge k emits its start vertex if kept, then its crossing if any
     slots = np.argsort(np.concatenate((2 * kept, 2 * edges + 1)))
     ring = np.concatenate((verts[kept], crossings))[slots]
-    ring, count = _drop_repeats(ring[None], np.array([len(ring)]))
-    return ConvexPolygon(ring[0, :count[0]])
+    return ConvexPolygon(_drop_repeats(ring, np.zeros(len(ring), dtype=np.int64), 1)[0])
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:

@@ -253,8 +253,9 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
     (i, j) has one facet on the (i, j) bisector (:func:`_power_facets`).
     Cell i's corners are the ends of its facets, the same floats in both
     cells of a facet, plus the domain vertices whose highest hull plane is
-    i's; :func:`_cell_rings` puts them in CCW order. No cell is clipped.
-    The domain's clip ring (:func:`_clip_ring`) is built once per domain.
+    i's; :func:`_cell_rings` lays them end to end in CCW order for the
+    moments, and each of ``cells`` is a slice of that one array. No cell
+    is clipped. The domain's clip ring (:func:`_clip_ring`) is built once per domain.
 
     ``triangulation``, when given, is the ``(edges, hull, triangles)`` triple
     that :func:`_lower_hull_edges` returned for these targets and heights. It
@@ -276,17 +277,17 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
     ends, length, owner, corners = _power_facets(points, heights, edges, triangles, ring)
     on_hull = BrenierPotential(
         DiscreteTargetMeasure(points[hull], potential.target.weights[hull]), heights[hull])
-    verts, counts = _cell_rings(
+    verts, sizes = _cell_rings(
         np.concatenate([owner, hull[on_hull._reduce_planes(ring.verts)]]),
         np.concatenate([corners, ring.verts]), n)
-    cells = [verts[i, :counts[i]] for i in range(n)]
-    a, sx, sy, _, _ = _packed_moments(verts[np.arange(verts.shape[1]) < counts[:, None]],
-                                      counts).T
+    stop = np.cumsum(sizes)
+    cells = [verts[lo:hi] for lo, hi in zip((stop - sizes).tolist(), stop.tolist())]
+    a, sx, sy, _, _ = _packed_moments(verts, sizes).T
     w = a / ring.area
     envelope = points[:, 0] * sx + points[:, 1] * sy + heights * a
 
     facet = ((length > ring.tol)
-             & (counts[edges[:, 0]] > 0) & (counts[edges[:, 1]] > 0))
+             & (sizes[edges[:, 0]] > 0) & (sizes[edges[:, 1]] > 0))
     return PowerCellStats(w, edges[facet], length[facet] / ring.area, ends[facet],
                           cells, ring.area, True,
                           envelope_mean=float(envelope.sum()) / ring.area)
@@ -405,23 +406,20 @@ def _centre_bounds(points, heights, edges, triangles, p0, direction):
 
 
 def _cell_rings(owner, corners, n):
-    """Each cell's corners in CCW order: a zero-padded (n, W, 2) array and the (n,) counts.
+    """Each cell's corners in CCW order, laid end to end by cell, and the (n,) cell sizes.
 
     One lexsort by (cell, angle about the mean of the cell's corners) orders
     every cell at once. As in :func:`~sdot.geometry.clip_halfplane`, a
     corner within DEGENERACY_TOL * (1 + largest coordinate magnitude) of its
     cyclic predecessor is dropped (:func:`~sdot.geometry._drop_repeats`),
-    and a cell left with fewer than 3 corners is empty (count 0).
+    and a cell left with fewer than 3 corners is empty (size 0).
     """
     total = np.bincount(owner, minlength=n)
     mean = np.column_stack([np.bincount(owner, corners[:, 0], n),
                             np.bincount(owner, corners[:, 1], n)]) / np.maximum(total, 1)[:, None]
     rel = corners - mean[owner]
     order = np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), owner))
-    owner = owner[order]
-    verts = np.zeros((n, total.max(initial=0), 2))
-    verts[owner, np.arange(len(owner)) - (np.cumsum(total) - total)[owner]] = corners[order]
-    return _drop_repeats(verts, total)
+    return _drop_repeats(corners[order], owner[order], n)
 
 
 def _neighbour_matrix(edges: np.ndarray, n: int) -> np.ndarray:

@@ -87,6 +87,8 @@ class SolverConfig:
             raise ValueError("damping factor must lie in (0, 1)")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if not self.min_step > 0.0:  # lam halves to 0.0, so min_step <= 0 never stops
+            raise ValueError("min_step must be positive")
 
     @property
     def resolved_tolerance(self) -> float:

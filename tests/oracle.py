@@ -4,6 +4,9 @@ The oracle owns the scalar clipper: ``_clip_vertices`` clips one convex
 polygon against one half-plane with a loop over its edges, and
 ``_cell_vertices`` chains it over one cell's targets. ``sdot`` clips one
 polygon in ``sdot.geometry.clip_halfplane``; nothing here imports it.
+``loop_drop_repeats`` runs the clipper's ``_dedupe_ring`` one ring at a
+time, where ``sdot.geometry._drop_repeats`` dedupes rings laid end to end
+in one pass.
 ``all_pairs_cell_stats_2d`` clips every cell against every other target,
 nearest first, and scans all i < j pairs for shared facets. It reads no
 triangulation, so it stays independent of the triangle power centres that
@@ -94,6 +97,16 @@ def _dedupe_ring(verts: np.ndarray) -> np.ndarray:
     if keep.all():
         return verts
     return verts[keep]
+
+
+def loop_drop_repeats(rings):
+    """``_dedupe_ring`` on each ring, dropping a ring left with fewer than 3 corners.
+
+    Returns the kept corners end to end and the ring sizes.
+    """
+    kept = [_dedupe_ring(r) if len(r) else r for r in rings]
+    kept = [r if len(r) >= 3 else _EMPTY_VERTS for r in kept]
+    return np.concatenate([_EMPTY_VERTS, *kept]), np.array([len(r) for r in kept])
 
 
 def _cell_vertices(base_verts, points, heights, i, order):

@@ -91,6 +91,11 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
         assert not (tmp_path / "out").exists()
 
+    def test_zero_min_step_exit_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, solver={"mode": "exact-2d", "min_step": 0})
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: solver: min_step")
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDOT_OUTPUT_DIR", str(tmp_path / "env_out"))
         config = load_config(write_config(tmp_path))
@@ -184,6 +189,17 @@ class TestGenerateCommand:
         assert main(["solve", str(path)]) == 0
         assert not (tmp_path / "out" / "stats.json").exists()
         assert main(["generate", str(path), "--count", "50"]) == 0
+
+    def test_render_and_probe_after_monte_carlo_solve(self, tmp_path, capsys):
+        # no stats.json by design: the error names the mode, not a missing artifact
+        path = write_config(tmp_path, solver={"mode": "monte-carlo", "mc_samples": 20000})
+        assert main(["solve", str(path)]) == 0
+        for args in (["render"], ["probe", "--from=-0.5,0", "--to=0.5,0"]):
+            capsys.readouterr()
+            assert main([args[0], str(path), *args[1:]]) == 1
+            err = capsys.readouterr().err
+            assert "exact-2d" in err and "solver.mode" in err
+            assert "Traceback" not in err and "missing artifact" not in err
 
     @pytest.mark.parametrize("dim, overrides", [
         (2, {}),

@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdot
 from sdot.geometry import (
+    DEGENERACY_TOL,
     ConvexPolygon,
     DuplicatePointError,
     GeometryError,
     MassMismatchError,
     NonpositiveWeightError,
+    _drop_repeats,
     clip_halfplane,
     load_target_csv,
     polygon_area,
     polygon_centroid,
     segment_length,
 )
-from oracle import _cell_vertices
+from oracle import _cell_vertices, loop_drop_repeats
 
 UNIT_SQUARE = ConvexPolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -140,6 +142,73 @@ class TestClipping:
         # first (boundary-only contact), on the kept side of the second
         assert clip_halfplane(box, (-1.0, -1.0), -2.0).is_empty
         assert clip_halfplane(box, (1.0, 1.0), 2.0) is box
+
+
+def planted(ring, k, factor, axis=(1.0, 0.0)):
+    """``ring`` with corner k moved to ``factor`` times the dedupe tolerance past
+    its cyclic predecessor; the tolerance is the ring's own, from before the move."""
+    ring = np.array(ring, dtype=float)
+    tol = DEGENERACY_TOL * (1.0 + np.abs(ring).max())
+    ring[k] = ring[k - 1] + factor * tol * np.asarray(axis)
+    return ring
+
+
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+COORD = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+AXES = [(1.0, 0.0), (0.0, -1.0), (-1.0, 1.0)]
+# one of each case, with the sizes the dedupe must give them
+PLANTED_RINGS = [
+    np.zeros((0, 2)),
+    np.array([[0.5, 0.5]]),
+    np.array([[0.0, 0.0], [1.0, 0.0]]),
+    planted(1e-3 * SQUARE[:3], 0, 0.5),               # last-to-first repeat: 2 left
+    planted(planted(1e3 * SQUARE, 0, 2.0), 2, 0.5),   # keeps the 2x, drops the 0.5x
+    planted(1e-3 * SQUARE, 2, 2.0, (0.0, -1.0)),      # 2x of its own, far below 1e3's
+]
+PLANTED_SIZES = [0, 0, 0, 0, 3, 4]
+
+
+@st.composite
+def ring_runs(draw):
+    """1-6 rings of 0-7 corners at scales 1e-3, 1 and 1e3, with repeats planted at
+    0.5x and 2x their own ring's tolerance (corner 0 last, against the ring's final
+    last corner); a ring may start on the previous ring's last corner."""
+    rings = []
+    for _ in range(draw(st.integers(1, 6))):
+        m = draw(st.integers(0, 7))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        ring = scale * np.array(draw(st.lists(st.tuples(COORD, COORD),
+                                              min_size=m, max_size=m))).reshape(-1, 2)
+        for k in [*range(1, m), 0][:m]:
+            factor = draw(st.sampled_from([None, 0.5, 2.0]))
+            if factor is not None:
+                ring = planted(ring, k, factor, draw(st.sampled_from(AXES)))
+        if m and rings and len(rings[-1]) and draw(st.booleans()):
+            ring[0] = rings[-1][-1]
+        rings.append(ring)
+    return rings
+
+
+class TestDropRepeats:
+    def test_planted_sizes(self):
+        verts = np.concatenate(PLANTED_RINGS)
+        owner = np.repeat(np.arange(len(PLANTED_RINGS)), [len(r) for r in PLANTED_RINGS])
+        kept, sizes = _drop_repeats(verts, owner, len(PLANTED_RINGS))
+        assert sizes.tolist() == PLANTED_SIZES
+        assert len(kept) == sum(PLANTED_SIZES)
+
+    @given(ring_runs())
+    @example(PLANTED_RINGS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_ring_loop(self, rings):
+        """One pass over rings laid end to end keeps what a loop over the rings
+        keeps: no ring's predecessor or scale comes from the ring next to it."""
+        owner = np.repeat(np.arange(len(rings)), [len(r) for r in rings])
+        kept, sizes = _drop_repeats(np.concatenate([np.zeros((0, 2)), *rings]),
+                                    owner, len(rings))
+        want_kept, want_sizes = loop_drop_repeats(rings)
+        assert np.array_equal(kept, want_kept)
+        assert np.array_equal(sizes, want_sizes)
 
 
 class TestPolygonPrimitives:

@@ -231,6 +231,12 @@ class TestSolve:
         assert not report.converged
         assert report.hit_max_iterations
 
+    @pytest.mark.parametrize("min_step", [0.0, -1.0, float("nan")])
+    def test_nonpositive_min_step_rejected(self, min_step):
+        # failed trials halve the step down to 0.0, which a min_step <= 0 never stops
+        with pytest.raises(ValueError, match="min_step"):
+            SolverConfig(min_step=min_step)
+
     def test_monte_carlo_mode(self, unit_square):
         target = sdot.validate_target([(-0.5, 0.0), (0.5, 0.0), (0.0, 0.4)],
                                       [0.3, 0.3, 0.4])
