@@ -32,8 +32,24 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _load_json(path: Path):
-    return json.loads(path.read_text())
+def _load_artifact(path: Path, parse):
+    """Parse one artifact written by `solve`; a missing or corrupt one is an input error."""
+    hint = "run `sdot solve` on this config first"
+    if not path.exists():
+        raise FileNotFoundError(f"missing artifact {path}; {hint}")
+    try:
+        return parse(json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"corrupt artifact {path} ({type(exc).__name__}: {exc}); "
+                          f"{hint}") from None
+
+
+def _parse_target(data):
+    points = np.asarray(data["points"], dtype=float)
+    labels = None if data["labels"] is None else np.asarray(data["labels"], dtype=np.int64)
+    if labels is not None and labels.shape != points.shape[:1]:
+        raise ValueError(f"{labels.size} labels for {len(points)} points")
+    return points, np.asarray(data["weights"], dtype=float), labels
 
 
 def _prepare(config_path, seed_override=None):
@@ -52,21 +68,12 @@ def _load_solved(config, outdir: Path, needs_stats: bool = True):
     if needs_stats and config.solver.mode != "exact-2d":
         raise ConfigError("render and probe need exact-2d statistics; "
                           f"solver.mode is {config.solver.mode!r}")
-    heights_file = outdir / "heights.json"
-    stats_file = outdir / "stats.json"
-    target_file = outdir / "target.json"
-    needed = [heights_file, target_file] + ([stats_file] if needs_stats else [])
-    for f in needed:
-        if not f.exists():
-            raise FileNotFoundError(
-                f"missing artifact {f}; run `sdot solve` on this config first")
-    heights = np.asarray(_load_json(heights_file)["heights"], dtype=float)
-    stats = PowerCellStats.from_json_dict(_load_json(stats_file)) if needs_stats else None
-    tdata = _load_json(target_file)
-    target = validate_target(np.asarray(tdata["points"], dtype=float),
-                             np.asarray(tdata["weights"], dtype=float),
-                             mass_tolerance=1e-9)
-    labels = None if tdata["labels"] is None else np.asarray(tdata["labels"])
+    heights = _load_artifact(outdir / "heights.json",
+                             lambda d: np.asarray(d["heights"], dtype=float))
+    points, weights, labels = _load_artifact(outdir / "target.json", _parse_target)
+    stats = (_load_artifact(outdir / "stats.json", PowerCellStats.from_json_dict)
+             if needs_stats else None)
+    target = validate_target(points, weights, mass_tolerance=1e-9)
     return BrenierPotential(target, heights), stats, labels
 
 

@@ -22,14 +22,19 @@ The loop stops only when no column prices out, so the restricted optimum
 is dual feasible for the full LP and hence optimal: the seed decides the
 speed, never the result. Each round adds a column, so at worst the loop
 ends at the full LP.
+
+HiGHS (``scipy.optimize``) is imported on the first ``solve_lp`` call, not
+with the package: only the oracle needs it, and it costs every other
+process about 11 MB and 0.14 s at start-up. ``linprog`` stays a module
+attribute, loaded on first access.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .geometry import DiscreteTargetMeasure, GeometryError, MassMismatchError
 
@@ -45,6 +50,14 @@ _SEED_KEEP = 4
 # weights spread over [1e-4, 1]); 1e-10 is the tightest HiGHS accepts
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                   "dual_feasibility_tolerance": 1e-10}
+
+
+def __getattr__(name):
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+    globals()["linprog"] = linprog
+    return linprog
 
 
 class SizeLimitExceededError(GeometryError):
@@ -125,6 +138,7 @@ def solve_lp(source_points, source_weights, target: DiscreteTargetMeasure,
     cost = cost_matrix(X, target.points, cost_exponent)
     b_eq = np.concatenate([a, b])
     rows, cols = _seed_support(cost, a, b)
+    linprog = sys.modules[__name__].linprog  # loads HiGHS once; sees a patched linprog
     while True:
         k = len(rows)
         A_eq = sparse.csc_matrix(

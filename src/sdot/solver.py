@@ -89,6 +89,10 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if not self.min_step > 0.0:  # lam halves to 0.0, so min_step <= 0 never stops
             raise ValueError("min_step must be positive")
+        if self.max_iterations < 0:  # 0 reports the start
+            raise ValueError("max_iterations must be >= 0")
+        if self.mc_samples < 1:
+            raise ValueError("mc_samples must be >= 1")
 
     @property
     def resolved_tolerance(self) -> float:

@@ -96,6 +96,15 @@ class TestConfig:
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: solver: min_step")
 
+    @pytest.mark.parametrize("solver, field", [
+        ({"max_iterations": -5}, "max_iterations"),
+        ({"mode": "monte-carlo", "mc_samples": 0}, "mc_samples"),
+    ])
+    def test_count_out_of_range_exit_one(self, tmp_path, capsys, solver, field):
+        path = write_config(tmp_path, solver=solver)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: solver: {field} must be")
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SDOT_OUTPUT_DIR", str(tmp_path / "env_out"))
         config = load_config(write_config(tmp_path))
@@ -164,6 +173,19 @@ class TestGenerateCommand:
         path = write_config(tmp_path)
         assert main(["generate", str(path), "--count", "5"]) == 1
         assert "solve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"heights": [0.0, ', '{}', '[1, 2]'],
+                             ids=["truncated", "no-key", "not-an-object"])
+    def test_corrupt_heights_exit_one(self, tmp_path, capsys, text):
+        path = write_config(tmp_path)
+        assert main(["solve", str(path)]) == 0
+        capsys.readouterr()
+        heights = tmp_path / "out" / "heights.json"
+        heights.write_text(text)
+        assert main(["generate", str(path), "--count", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {heights} ")
+        assert "sdot solve" in err and "Traceback" not in err
 
     def test_generated_rows(self, tmp_path):
         path = write_config(tmp_path)
@@ -314,6 +336,21 @@ class TestRenderCommand:
     def test_render_requires_artifacts(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["render", str(path)]) == 1
+
+    @pytest.mark.parametrize("name, mangle", [
+        ("stats.json", lambda text: text[:100]),
+        ("target.json", lambda text: json.dumps({**json.loads(text), "labels": [0, 1]})),
+    ], ids=["truncated-stats", "short-labels"])
+    def test_corrupt_artifact_exit_one(self, tmp_path, capsys, name, mangle):
+        path = write_config(tmp_path, target=CLUSTER_TARGET)
+        assert main(["solve", str(path)]) == 0
+        capsys.readouterr()
+        artifact = tmp_path / "out" / name
+        artifact.write_text(mangle(artifact.read_text()))
+        assert main(["render", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt artifact {artifact} ")
+        assert "sdot solve" in err and "Traceback" not in err
 
     def test_scene_round_trip_from_json(self, tmp_path):
         path = write_config(tmp_path)

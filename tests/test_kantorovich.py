@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +341,21 @@ class TestDiscretizationTrend:
                 gaps.append(abs(lp - sd_cost) / sd_cost)
             medians.append(float(np.median(gaps)))
         assert medians[0] >= medians[1] >= medians[2]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """``import sdot`` (and the CLI module) does not load ``scipy.optimize``;
+    ``solve_lp`` imports it on its first call, with the in-process result."""
+    src = str(Path(sdot.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sdot, sdot.cli; "
+            "print('scipy.optimize' in sys.modules); import numpy as np; "
+            "rng = np.random.default_rng(5); "
+            "target = sdot.validate_target(rng.standard_normal((6, 2))); "
+            "_, value = sdot.solve_lp(rng.standard_normal((15, 2)), np.full(15, 1 / 15), target); "
+            "print('scipy.optimize' in sys.modules, repr(value))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True)
+    rng = np.random.default_rng(5)
+    target = sdot.validate_target(rng.standard_normal((6, 2)))
+    _, value = solve_lp(rng.standard_normal((15, 2)), np.full(15, 1 / 15), target)
+    assert out.stdout.split() == ["False", "True", repr(value)]

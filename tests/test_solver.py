@@ -237,6 +237,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="min_step"):
             SolverConfig(min_step=min_step)
 
+    @pytest.mark.parametrize("field, lowest", [("max_iterations", 0), ("mc_samples", 1)])
+    def test_count_below_lowest_rejected(self, field, lowest):
+        # max_iterations=0 reports the start, and so did a negative one;
+        # mc_samples=0 failed only once the solve sampled
+        SolverConfig(mode="monte-carlo", **{field: lowest})
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(mode="monte-carlo", **{field: lowest - 1})
+
     def test_monte_carlo_mode(self, unit_square):
         target = sdot.validate_target([(-0.5, 0.0), (0.5, 0.0), (0.0, 0.4)],
                                       [0.3, 0.3, 0.4])
