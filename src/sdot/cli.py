@@ -52,6 +52,18 @@ def _parse_target(data):
     return points, np.asarray(data["weights"], dtype=float), labels
 
 
+def _parse_stats(data, n: int) -> PowerCellStats:
+    """Exact stats that describe n targets: n cells, facet ids below n, a mass and segment each."""
+    stats = PowerCellStats.from_json_dict(data)
+    pairs = stats.facet_pairs
+    if ({stats.n, len(stats.cells)} != {n} or np.any((pairs < 0) | (pairs >= n))
+            or {len(stats.facet_measures), len(stats.facet_segments)} != {len(pairs)}):
+        raise ValueError(f"not the stats of {n} targets: {stats.n} cell masses, "
+                         f"{len(stats.cells)} cells, {len(pairs)} facet pairs with ids "
+                         f"{pairs.min(initial=0)}..{pairs.max(initial=0)}")
+    return stats
+
+
 def _prepare(config_path, seed_override=None):
     config = load_config(config_path)
     if seed_override is not None:
@@ -71,7 +83,7 @@ def _load_solved(config, outdir: Path, needs_stats: bool = True):
     heights = _load_artifact(outdir / "heights.json",
                              lambda d: np.asarray(d["heights"], dtype=float))
     points, weights, labels = _load_artifact(outdir / "target.json", _parse_target)
-    stats = (_load_artifact(outdir / "stats.json", PowerCellStats.from_json_dict)
+    stats = (_load_artifact(outdir / "stats.json", lambda d: _parse_stats(d, len(points)))
              if needs_stats else None)
     target = validate_target(points, weights, mass_tolerance=1e-9)
     return BrenierPotential(target, heights), stats, labels

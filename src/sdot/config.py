@@ -70,11 +70,14 @@ def _object(value, where: str) -> dict:
 
 
 def _as(value, kind, where: str):
-    """``value`` read as ``kind``; a bool must be JSON true or false."""
+    """``value`` read as ``kind``: an int, float, bool or str takes only that JSON type
+    (an integer is also a float, true and false never a number); other kinds convert."""
+    json_type = {int: int, float: (int, float), bool: bool, str: str}.get(kind)
     try:
-        if kind is not bool or isinstance(value, bool):
+        if json_type is None or (isinstance(value, json_type)
+                                 and isinstance(value, bool) == (kind is bool)):
             return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{where}: expected {kind.__name__.lstrip('_')}, got {value!r}")
 
@@ -84,8 +87,8 @@ def _numbers(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _positive(value, where: str) -> float:
-    v = _as(value, float, where)
+def _positive(value, where: str, kind=float):
+    v = _as(value, kind, where)
     if v <= 0:
         raise ConfigError(f"{where}: must be positive, got {v}")
     return v
@@ -271,7 +274,7 @@ def build_target(config: ExperimentConfig, dimension: int):
     if gen == "clusters":
         return cluster_targets(
             _as(_require(spec, "centers", "target"), _numbers, "target.centers"),
-            int(_positive(_require(spec, "per_cluster", "target"), "target.per_cluster")),
+            _positive(_require(spec, "per_cluster", "target"), "target.per_cluster", int),
             _positive(_require(spec, "radius", "target"), "target.radius"),
             rng,
         )
@@ -280,7 +283,7 @@ def build_target(config: ExperimentConfig, dimension: int):
             _positive(_require(spec, "bell_radius", "target"), "target.bell_radius"),
             _positive(_require(spec, "bar_width", "target"), "target.bar_width"),
             _positive(_require(spec, "separation", "target"), "target.separation"),
-            int(_positive(_require(spec, "count", "target"), "target.count")),
+            _positive(_require(spec, "count", "target"), "target.count", int),
             rng,
         )
     raise ConfigError(f"target.generator: unknown generator {gen!r}")

@@ -17,16 +17,17 @@ the power centres of the edge's lower triangles (one Cramer solve per
 triangle) and cut by the domain edges where it leaves the domain; without
 triangles, the triangulation neighbours bound it. A cell's corners are the
 ends of its facets plus the domain vertices it holds, put in CCW order by
-one sort over all cells. ``legendre_dual`` bounds each facet chord a second
-way, by the triangulation neighbours and the same domain cut, and measures
-every chord in one pass.
+one sort over all cells. The stats keep that triangulation for
+``legendre_dual``, which bounds each facet chord a second way, by the
+triangulation neighbours and the same domain cut, in one pass.
 
 Work that does not depend on the heights is done once: the domain's clip
 ring once per domain object, the targets' collinearity test once per solve.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -154,6 +155,10 @@ class BrenierPotential:
         return self.target.points[idx]
 
 
+# an exact 2D diagram's points, heights, _lower_hull_edges triple and (n, 5) cell moments
+_Source = namedtuple("_Source", "points heights triangulation moments")
+
+
 @dataclass(eq=False)
 class PowerCellStats:
     """Per-cell masses and pairwise facet masses of a power diagram.
@@ -174,6 +179,7 @@ class PowerCellStats:
     # mean of the envelope u_h over the source (not serialised): exact from
     # the cell moments in 2D, the sample mean in Monte Carlo mode
     envelope_mean: float | None = None
+    _source: _Source | None = field(default=None, repr=False)  # exact 2D (not serialised)
 
     @property
     def n(self) -> int:
@@ -183,13 +189,19 @@ class PowerCellStats:
         return {(int(i), int(j)) for i, j in self.facet_pairs}
 
     def facet_measure(self, i: int, j: int) -> float:
-        if not self.has_facet_measures:
-            return 0.0
-        i, j = (int(i), int(j)) if i < j else (int(j), int(i))
-        for k, (a, b) in enumerate(self.facet_pairs):
-            if a == i and b == j:
-                return float(self.facet_measures[k])
-        return 0.0
+        """Mass of the (i, j) facet; 0 without one or for an index out of range."""
+        i, j = sorted((int(i), int(j)))
+        ok = self.has_facet_measures and 0 <= i < j < self.n
+        return float(self._facet_masses(np.array([[i, j]]), self.n)[0]) if ok else 0.0
+
+    def _facet_masses(self, pairs: np.ndarray, n: int) -> np.ndarray:
+        """Facet mass of each (i < j) row of ``pairs`` over n targets, 0 where there is none."""
+        # both sides keyed by i * n + j, facet pairs in key order; a key past
+        # the last facet meets the -1 sentinel
+        keys = np.append(self.facet_pairs @ [n, 1], -1)
+        want = pairs @ [n, 1]
+        k = np.searchsorted(keys[:-1], want)
+        return np.where(keys[k] == want, np.append(self.facet_measures, 0.0)[k], 0.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,22 +259,21 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
     polygon, whose area is the normalizer.
 
     The diagram is built from the regular triangulation, the projection of
-    the lower hull of the lifted points (y_i, -h_i) from
-    :func:`_lower_hull_edges` (Aurenhammer 1987). A target off that hull
-    has an empty cell everywhere in the plane and is not built. Each edge
-    (i, j) has one facet on the (i, j) bisector (:func:`_power_facets`).
+    the lower hull of the lifted points (y_i, -h_i) (Aurenhammer 1987): the
+    ``(edges, hull, triangles)`` triple of :func:`_lower_hull_edges`, or
+    ``triangulation`` when a caller already has it for these targets and
+    heights (the solver, which rejects heights that hide a target). A
+    target off the hull has an empty cell everywhere and is not built. Each
+    edge (i, j) has one facet on the (i, j) bisector (:func:`_power_facets`).
     Cell i's corners are the ends of its facets, the same floats in both
     cells of a facet, plus the domain vertices whose highest hull plane is
     i's; :func:`_cell_rings` lays them end to end in CCW order for the
     moments, and each of ``cells`` is a slice of that one array. No cell
     is clipped. The domain's clip ring (:func:`_clip_ring`) is built once per domain.
 
-    ``triangulation``, when given, is the ``(edges, hull, triangles)`` triple
-    that :func:`_lower_hull_edges` returned for these targets and heights. It
-    is used instead of a qhull call of its own, so a caller that already
-    needed the triangulation (the solver, to reject heights that hide a
-    target) pays for one qhull call per diagram and one collinearity test
-    per target set.
+    The stats keep copies of the points and heights, the triangulation and
+    the (n, 5) cell moments (not serialised) for :func:`legendre_dual` and
+    :func:`~sdot.solver.transport_cost`.
     """
     if domain.dimension != 2:
         raise DimensionUnsupportedError("exact cell statistics need a 2D domain")
@@ -282,7 +293,8 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
         np.concatenate([corners, ring.verts]), n)
     stop = np.cumsum(sizes)
     cells = [verts[lo:hi] for lo, hi in zip((stop - sizes).tolist(), stop.tolist())]
-    a, sx, sy, _, _ = _packed_moments(verts, sizes).T
+    moments = _packed_moments(verts, sizes)
+    a, sx, sy = moments[:, :3].T
     w = a / ring.area
     envelope = points[:, 0] * sx + points[:, 1] * sy + heights * a
 
@@ -290,7 +302,8 @@ def exact_cell_stats_2d(potential: BrenierPotential, domain, *,
              & (sizes[edges[:, 0]] > 0) & (sizes[edges[:, 1]] > 0))
     return PowerCellStats(w, edges[facet], length[facet] / ring.area, ends[facet],
                           cells, ring.area, True,
-                          envelope_mean=float(envelope.sum()) / ring.area)
+                          envelope_mean=float(envelope.sum()) / ring.area,
+                          _source=_Source(points.copy(), heights.copy(), triangulation, moments))
 
 
 class _ClipRing:
@@ -499,7 +512,8 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     triangulation neighbours of i and the domain edges; all chords are
     measured in one batched pass. With exact ``stats`` (facet pairs in key
     order, as :func:`exact_cell_stats_2d` gives them), each edge is
-    annotated with the mass of its dual facet, 0 where it has none.
+    annotated with the mass of its dual facet, 0 where it has none; stats
+    built from equal points and heights also give the triangulation.
     """
     if potential.target.dimension != 2:
         raise DimensionUnsupportedError("the dual construction is 2D only")
@@ -507,7 +521,10 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     heights = potential.heights
     n = potential.n
 
-    edges, hull, _ = _lower_hull_edges(points, heights)
+    src = None if stats is None else stats._source
+    same = (src is not None and np.array_equal(src.points, points)
+            and np.array_equal(src.heights, heights))
+    edges, hull, _ = src.triangulation if same else _lower_hull_edges(points, heights)
 
     if domain is not None and len(edges):
         ring = _clip_ring(domain)
@@ -516,12 +533,7 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     zero = np.setdiff1d(np.arange(n, dtype=np.int64), hull)
     measures = None
     if stats is not None and stats.has_facet_measures:
-        # both sides are sorted by the key i * n + j; a key past the last
-        # facet meets the -1 sentinel
-        keys = np.append(stats.facet_pairs @ [n, 1], -1)
-        want = edges @ [n, 1]
-        k = np.searchsorted(keys[:-1], want)
-        measures = np.where(keys[k] == want, np.append(stats.facet_measures, 0.0)[k], 0.0)
+        measures = stats._facet_masses(edges, n)
     return DualTriangulation(edges, measures, zero, hull)
 
 

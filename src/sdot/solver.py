@@ -31,7 +31,6 @@ from .geometry import (
     DimensionUnsupportedError,
     DiscreteTargetMeasure,
     GeometryError,
-    polygon_moments,
     sample_source,
 )
 from .potential import (
@@ -340,12 +339,13 @@ def transport_cost(potential: BrenierPotential, domain, samples: int | None = No
     """Quadratic transport cost of the potential's map.
 
     Without ``samples`` the cost is integrated exactly over the 2D cell
-    polygons (uniform density) via polygon second moments; with ``samples``
+    polygons (uniform density) from the cell second moments that the stats
+    build sums; with ``samples``
     it is the Monte Carlo mean of half the squared displacement.
     """
     if samples is None:
         stats = exact_cell_stats_2d(potential, domain)
-        a, sx, sy, ixx, iyy = polygon_moments(stats.cells).T
+        a, sx, sy, ixx, iyy = stats._source.moments.T
         y = potential.target.points
         total = 0.5 * (ixx + iyy - 2.0 * (y[:, 0] * sx + y[:, 1] * sy)
                        + _row_dots(y, y) * a)

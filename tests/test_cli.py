@@ -33,6 +33,21 @@ CLUSTER_TARGET = {
     "radius": 0.5,
 }
 
+DUMBBELL_TARGET = {
+    "generator": "dumbbell",
+    "bell_radius": 0.3,
+    "bar_width": 0.1,
+    "separation": 1.2,
+    "count": 30,
+}
+
+
+def cut_cells(text):
+    """stats.json with only its first 5 cell masses and cells."""
+    data = json.loads(text)
+    return json.dumps({**data, "cell_measures": data["cell_measures"][:5],
+                       "cells": data["cells"][:5]})
+
 
 class TestConfig:
     def test_missing_file(self, tmp_path):
@@ -67,9 +82,15 @@ class TestConfig:
         ({"domain": ["kind"]}, "domain"),
         ({"solver": "fast"}, "solver"),
         ({"render": [1]}, "render"),
+        ({"solver": {"max_iterations": 2.7}}, "solver.max_iterations"),
+        ({"solver": {"max_iterations": True}}, "solver.max_iterations"),
+        ({"solver": {"tolerance": "1e-6"}}, "solver.tolerance"),
+        ({"render": {"size": True}}, "render.size"),
+        ({"seed": 3.9}, "seed"),
     ], ids=["tolerance", "max-iterations", "damping", "size", "mass-tolerance",
             "show-targets", "target-section", "domain-section", "solver-section",
-            "render-section"])
+            "render-section", "fractional-count", "bool-count", "numeric-string",
+            "bool-size", "fractional-seed"])
     def test_malformed_field_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, **overrides)
         assert main(["solve", str(path)]) == 1
@@ -84,7 +105,10 @@ class TestConfig:
         ({"domain": {"kind": "box", "bounds": "abc"}}, "domain.bounds"),
         ({"domain": {"kind": "disk", "center": ["a", 0], "radius": 1.0}}, "domain.center"),
         ({"domain": {"kind": "polygon", "vertices": [[0, 0], "x"]}}, "domain.vertices"),
-    ], ids=["k", "extent", "target-seed", "centers", "bounds", "center", "vertices"])
+        ({"target": {**CLUSTER_TARGET, "per_cluster": 20.7}}, "target.per_cluster"),
+        ({"target": {**DUMBBELL_TARGET, "count": True}}, "target.count"),
+    ], ids=["k", "extent", "target-seed", "centers", "bounds", "center", "vertices",
+            "fractional-per-cluster", "bool-count"])
     def test_malformed_domain_or_target_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, **overrides)
         assert main(["solve", str(path)]) == 1
@@ -150,6 +174,14 @@ class TestSolveCommand:
         assert f"did not converge ({reason})" in capsys.readouterr().err
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report[flag] is True and report["converged"] is False
+
+    def test_dumbbell_generator(self, tmp_path):
+        path = write_config(tmp_path, target=DUMBBELL_TARGET)
+        assert main(["solve", str(path)]) == 0
+        out = tmp_path / "out"
+        assert json.loads((out / "report.json").read_text())["converged"] is True
+        labels = json.loads((out / "target.json").read_text())["labels"]
+        assert len(labels) == 30 and set(labels) == {0, 1, 2}
 
     def test_polygon_domain(self, tmp_path):
         path = write_config(
@@ -340,7 +372,8 @@ class TestRenderCommand:
     @pytest.mark.parametrize("name, mangle", [
         ("stats.json", lambda text: text[:100]),
         ("target.json", lambda text: json.dumps({**json.loads(text), "labels": [0, 1]})),
-    ], ids=["truncated-stats", "short-labels"])
+        ("stats.json", cut_cells),
+    ], ids=["truncated-stats", "short-labels", "stats-of-fewer-cells"])
     def test_corrupt_artifact_exit_one(self, tmp_path, capsys, name, mangle):
         path = write_config(tmp_path, target=CLUSTER_TARGET)
         assert main(["solve", str(path)]) == 0
@@ -351,6 +384,19 @@ class TestRenderCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: corrupt artifact {artifact} ")
         assert "sdot solve" in err and "Traceback" not in err
+        assert main(["probe", str(path), "--from=-0.5,0", "--to=0.5,0"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: corrupt artifact {artifact} ")
+
+    def test_render_probe_marks_each_crossing(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["solve", str(path)]) == 0
+        assert main(["render", str(path), "--probe=-0.9,0.1:0.9,0.1"]) == 0
+        assert main(["probe", str(path), "--from=-0.9,0.1", "--to=0.9,0.1"]) == 0
+        svg = (tmp_path / "out" / "diagram.svg").read_text()
+        crossings = (tmp_path / "out" / "probe.csv").read_text().splitlines()[1:]
+        assert len(crossings) == 2  # two column boundaries of the 3 x 3 grid
+        assert svg.count('stroke-dasharray="6,4"') == 1
+        assert svg.count('r="3.5"') == len(crossings)
 
     def test_scene_round_trip_from_json(self, tmp_path):
         path = write_config(tmp_path)

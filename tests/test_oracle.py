@@ -24,10 +24,11 @@ from sdot.potential import (
     _facet_chord_lengths,
     _lower_facets,
     _lower_hull_edges,
+    _row_dots,
     exact_cell_stats_2d,
     legendre_dual,
 )
-from sdot.solver import hessian
+from sdot.solver import hessian, transport_cost
 from oracle import (
     all_pairs_cell_stats_2d,
     exact_cell_masses,
@@ -321,6 +322,29 @@ def test_one_qhull_call_per_stats_call(monkeypatch, cluster_instance, unit_disk)
     for _ in range(3):
         exact_cell_stats_2d(potential, unit_disk)
     assert len(hulls) == 3
+
+
+def test_dual_and_cost_reuse_the_stats(monkeypatch, cluster_instance, unit_disk):
+    """Stats, then the dual given them, then the cost: two qhull calls, and
+    the cost is the second moments of the stats' cells to the last bit."""
+    _, potential, _ = cluster_instance
+    convex_hull = sdot.potential.ConvexHull
+    hulls = []
+
+    def spy(*args, **kwargs):
+        hulls.append(args)
+        return convex_hull(*args, **kwargs)
+
+    monkeypatch.setattr(sdot.potential, "ConvexHull", spy)
+    stats = exact_cell_stats_2d(potential, unit_disk)
+    dual = legendre_dual(potential, domain=unit_disk, stats=stats)
+    cost = transport_cost(potential, unit_disk)
+    assert len(hulls) == 2
+    assert dual.edge_set() == stats.adjacency_set()
+    a, sx, sy, ixx, iyy = polygon_moments(stats.cells).T
+    y = potential.target.points
+    total = 0.5 * (ixx + iyy - 2.0 * (y[:, 0] * sx + y[:, 1] * sy) + _row_dots(y, y) * a)
+    assert cost == float(total.sum()) / stats.domain_area
 
 
 def test_cocircular_fans_drop_repeated_centres():

@@ -277,6 +277,44 @@ class TestLegendreDual:
         for extra in full.edge_set() - adj:
             assert grid25_stats.facet_measure(*extra) == 0.0
 
+    def test_facet_measure_lookup(self, grid25_potential, grid25_stats, big_square):
+        stats = grid25_stats
+        for (i, j), mass in zip(stats.facet_pairs.tolist(), stats.facet_measures):
+            assert stats.facet_measure(i, j) == stats.facet_measure(j, i) == mass > 0.0
+        assert (0, 24) not in stats.adjacency_set()
+        assert stats.facet_measure(0, 24) == 0.0
+        # keyed by i * 25 + j, (0, 27) and (-1, 26) would hit the facets (1, 2) and (0, 1)
+        assert stats.facet_measure(1, 2) > 0.0 and stats.facet_measure(0, 1) > 0.0
+        for i, j in [(0, 27), (27, 0), (-1, 26), (3, 3), (25, 26)]:
+            assert stats.facet_measure(i, j) == 0.0
+        mc = mc_cell_stats(grid25_potential, big_square, 4000, rng=np.random.default_rng(1))
+        assert len(mc.facet_pairs) > 0
+        assert all(mc.facet_measure(i, j) == 0.0 for i, j in mc.facet_pairs)
+
+    def test_stats_of_other_heights_do_not_lend_their_triangulation(self, big_square):
+        """The dual given any stats equals the dual built from its own qhull
+        call; only the edge masses come from the stats."""
+        _, pot = random_solved_instance(105, big_square)
+        other = BrenierPotential(pot.target, pot.heights + np.linspace(0.0, 0.3, pot.n))
+        own = exact_cell_stats_2d(pot, big_square)
+        want = legendre_dual(pot, domain=big_square, stats=own)
+        json_stats = PowerCellStats.from_json_dict(own.to_json_dict())
+        for stats in [None, own, json_stats, exact_cell_stats_2d(other, big_square),
+                      mc_cell_stats(pot, big_square, 2000, rng=np.random.default_rng(2))]:
+            got = legendre_dual(pot, domain=big_square, stats=stats)
+            for name in ("edges", "zero_cell_indices", "hull_indices"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(legendre_dual(pot, big_square, json_stats).facet_measures,
+                              want.facet_measures)
+        assert not np.array_equal(
+            legendre_dual(other, big_square).edges, want.edges)
+        # heights changed in place after the stats were built
+        moved = BrenierPotential(pot.target, pot.heights.copy())
+        stale = exact_cell_stats_2d(moved, big_square)
+        moved.heights[:] = other.heights
+        assert np.array_equal(legendre_dual(moved, big_square, stale).edges,
+                              legendre_dual(other, big_square).edges)
+
     def test_random_instances_match_adjacency(self, big_square):
         for seed in (101, 102, 103):
             target, pot = random_solved_instance(seed, big_square)
