@@ -83,7 +83,12 @@ def _as(value, kind, where: str):
 
 
 def _numbers(value) -> np.ndarray:
-    """A JSON number or nested list of numbers as a float array."""
+    """A JSON number or nested list of numbers (never true, false or a string) as a float array."""
+    if isinstance(value, list):
+        for item in value:
+            _numbers(item)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
     return np.asarray(value, dtype=float)
 
 

@@ -180,9 +180,9 @@ def _drop_repeats(verts, owner, n):
     ends = np.cumsum(np.bincount(owner, minlength=n))
     first = np.diff(owner, prepend=-1) > 0
     prev = np.where(first, ends[owner], np.arange(len(verts))) - 1
-    peak = np.maximum.reduceat(np.abs(verts).max(axis=1), np.flatnonzero(first))
+    peak = np.maximum.reduceat(np.maximum(*np.abs(verts).T), np.flatnonzero(first))
     scale = 1.0 + peak[np.cumsum(first) - 1]
-    keep = np.abs(verts - verts[prev]).max(axis=1) > DEGENERACY_TOL * scale
+    keep = np.maximum(*np.abs(verts - verts[prev]).T) > DEGENERACY_TOL * scale
     sizes = np.bincount(owner[keep], minlength=n)
     keep &= (sizes >= 3)[owner]
     return verts[keep], np.where(sizes < 3, 0, sizes)

@@ -528,7 +528,7 @@ def legendre_dual(potential: BrenierPotential, domain=None,
 
     if domain is not None and len(edges):
         ring = _clip_ring(domain)
-        edges = edges[_facet_chord_lengths(points, heights, edges, ring.verts) > ring.tol]
+        edges = edges[_facet_chord_lengths(points, heights, edges, ring) > ring.tol]
 
     zero = np.setdiff1d(np.arange(n, dtype=np.int64), hull)
     measures = None
@@ -537,8 +537,8 @@ def legendre_dual(potential: BrenierPotential, domain=None,
     return DualTriangulation(edges, measures, zero, hull)
 
 
-def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
-    """Length of the power facet of every edge (i, j) inside the domain polygon.
+def _facet_chord_lengths(points, heights, edges, ring) -> np.ndarray:
+    """Length of the power facet of every edge (i, j) inside the domain's clip ring.
 
     The facet lies on the (i, j) bisector line, in cell i, which only the
     regular-triangulation neighbours of i and the domain edges bound. Each
@@ -547,7 +547,7 @@ def _facet_chord_lengths(points, heights, edges, domain_verts) -> np.ndarray:
     :func:`exact_cell_stats_2d` bounds its facets by.
     """
     p0, direction = _bisector_lines(points, heights, edges)
-    lo, hi, blocked = _domain_cut(_ClipRing(domain_verts), p0, direction,
+    lo, hi, blocked = _domain_cut(ring, p0, direction,
                                   *_neighbour_interval(points, heights, edges, p0, direction))
     ok = ~blocked & (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
     return np.where(ok, hi - lo, 0.0)
@@ -598,13 +598,18 @@ def _domain_cut(ring, p0, direction, lo, hi, blocked):
     nearest = p0 + np.clip(_row_dots(centre - p0, direction), lo, hi)[:, None] * direction
     blocked |= _row_dots(nearest - centre, nearest - centre) > ring.outer * ring.outer
     bounded = np.isfinite(lo) & np.isfinite(hi)
-    ends = p0[:, None] + np.where(bounded, [lo, hi], 0.0).T[:, :, None] * direction[:, None]
-    inside = bounded & np.all(np.sum((ends - centre) ** 2, axis=2) < ring.inner ** 2, axis=1)
+    # (2, E) end coordinates column by column: no numpy loop runs over a length-2 axis
+    t = np.where(bounded, [lo, hi], 0.0)
+    dx = p0[:, 0] + t * direction[:, 0] - centre[0]
+    dy = p0[:, 1] + t * direction[:, 1] - centre[1]
+    inside = bounded & np.all(dx * dx + dy * dy < ring.inner ** 2, axis=0)
     cut = np.flatnonzero(~blocked & (lo < hi) & ~inside)
     if len(cut):
+        rel = np.empty((len(cut), len(ring.verts), 2))
+        for k in range(2):
+            np.subtract(ring.verts[:, k], p0[cut, k, None], out=rel[:, :, k])
         lo_dom, hi_dom, blocked[cut] = _chord_interval(
-            _row_dots(ring.normals, ring.verts - p0[cut, None]),
-            _row_dots(ring.normals, direction[cut, None]))
+            _row_dots(ring.normals, rel), _row_dots(ring.normals, direction[cut, None]))
         lo[cut] = np.maximum(lo[cut], lo_dom)
         hi[cut] = np.minimum(hi[cut], hi_dom)
     return lo, hi, blocked
@@ -671,8 +676,7 @@ def _unique_edges(pairs: np.ndarray, n: int) -> np.ndarray:
 
     Each edge is keyed by i * n + j, which sorts like the row (i, j).
     """
-    pairs = np.sort(pairs, axis=1)
-    key = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    key = np.unique(np.minimum(*pairs.T) * n + np.maximum(*pairs.T))
     return np.column_stack([key // n, key % n])
 
 

@@ -19,7 +19,11 @@ In exact mode every trial height vector first gets its regular
 triangulation, the lower hull of the lifted targets (one qhull call). A
 target off that hull has an empty cell everywhere in the plane
 (Aurenhammer 1987), so the trial is rejected there and no cell is built;
-otherwise the diagram is built from the same triangulation.
+otherwise the diagram is built from the same triangulation. A rejected
+trial also leaves certificates, lower triangles that strictly contain a
+hidden target, which hold for any heights; the line search halves past
+every step they prove hidden without a qhull call. Such a trial would be
+rejected anyway, so no accepted step, and no result, changes.
 """
 from __future__ import annotations
 
@@ -45,6 +49,9 @@ from .potential import (
 
 EXACT_TOLERANCE = 1e-6
 MC_TOLERANCE = 5e-3
+
+# hidden-target certificates: least weight, least doubled area / (|ab|^2 + |ac|^2), margin
+_WEIGHT_FLOOR, _SLIVER_FLOOR, _MARGIN = 1e-6, 1e-4, 1e-9
 
 
 class SolverError(RuntimeError):
@@ -166,9 +173,10 @@ def _stats_fn_for(domain, target, config: SolverConfig):
     exact from the power cells in 2D, the mean over the frozen samples
     in Monte Carlo mode. In 2D the evaluator first computes the regular
     triangulation of (target, h). When a target is not a vertex of it, its
-    cell is empty and the evaluator returns None without building the
-    diagram; otherwise the triangulation is passed on, so each evaluation
-    makes one qhull call. The targets are tested for collinearity once.
+    cell is empty and the evaluator returns None without building the diagram
+    (and adds :func:`_certify_hidden` of it to its ``certificates``); otherwise
+    the triangulation is passed on, so each evaluation makes one qhull call.
+    The targets are tested for collinearity once.
     """
     if config.mode == "exact-2d":
         line = _collinear_direction(target.points) if target.n > 1 else None
@@ -177,8 +185,10 @@ def _stats_fn_for(domain, target, config: SolverConfig):
             potential = BrenierPotential(target, h)
             triangulation = _lower_hull_edges(target.points, potential.heights, line)
             if len(triangulation[1]) < target.n:
+                stats_fn.certificates.append(_certify_hidden(target.points, *triangulation[1:]))
                 return None
             return exact_cell_stats_2d(potential, domain, triangulation=triangulation)
+        stats_fn.certificates = []
     else:
         rng = np.random.default_rng([config.seed, 0x5d07])
         frozen = sample_source(domain, config.mc_samples, rng=rng)
@@ -187,6 +197,43 @@ def _stats_fn_for(domain, target, config: SolverConfig):
             return mc_cell_stats_from_samples(BrenierPotential(target, h), frozen,
                                               adjacency_neighbors=0)
     return stats_fn
+
+
+def _certify_hidden(points, hull, triangles):
+    """Certificates (i, a, b, c) and weights beta for the targets off the hull.
+
+    Target i gets one when a lower triangle abc, not a sliver, strictly
+    contains it (y_i = beta . y_abc, each beta above the floor). Any heights
+    with h_i < beta . h_abc lift i above the lifted abc: its cell is empty.
+    """
+    hidden = np.flatnonzero(np.bincount(hull, minlength=len(points)) == 0)
+    corners = points[triangles]
+    d1, d2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    tri = np.flatnonzero(np.abs(det) > _SLIVER_FLOOR * (_row_dots(d1, d1) + _row_dots(d2, d2)))
+    d1, d2, det = d1[tri], d2[tri], det[tri]
+    rel = points[hidden, None] - corners[tri, 0]
+    wb = (rel[..., 0] * d2[:, 1] - rel[..., 1] * d2[:, 0]) / det
+    wc = (d1[:, 0] * rel[..., 1] - d1[:, 1] * rel[..., 0]) / det
+    beta = np.stack([1.0 - wb - wc, wb, wc])
+    r, k = np.nonzero(beta.min(axis=0) > _WEIGHT_FLOOR)
+    return np.column_stack([hidden[r], triangles[tri[k]]]), beta[:, r, k].T
+
+
+def _hidden_past(stats_fn, h, direction) -> float:
+    """A step past which the evaluator's certificates prove h + lam * direction hides a target.
+
+    Along the line h_i - beta . h_abc is f0 + lam * f1, and a certificate
+    with f1 < 0 proves each lam > (f0 + margin) / -f1. The margin is far
+    above the rounding of h + lam * direction and qhull's distance
+    tolerance. Without certificates (or on another evaluator) it is inf.
+    """
+    if not getattr(stats_fn, "certificates", None):
+        return np.inf
+    ids, beta = map(np.concatenate, zip(*stats_fn.certificates))
+    f0, f1 = (v[ids[:, 0]] - _row_dots(beta, v[ids[:, 1:]]) for v in (h, direction))
+    margin = _MARGIN * (1.0 + np.abs(h).max() + np.abs(direction).max())
+    return float(np.min((f0[f1 < 0.0] + margin) / -f1[f1 < 0.0], initial=np.inf))
 
 
 def _has_empty_cell(stats) -> bool:
@@ -284,7 +331,8 @@ def solve(domain, target: DiscreteTargetMeasure, config: SolverConfig | None = N
     step is halved until all cells keep positive mass and the max-norm
     residual decreases. In exact mode a trial whose heights hide a target
     (the target is off the lower hull of the lifted targets) is rejected
-    from that one qhull call, before any cell is built. The start is
+    from that one qhull call, before any cell is built, and later steps
+    that its certificates prove hidden are skipped unevaluated. The start is
     ``h_init`` when every cell has mass there, else scaled-Voronoi heights.
     The reported heights are gauge-normalized so the smallest is zero.
     """
@@ -308,15 +356,18 @@ def solve(domain, target: DiscreteTargetMeasure, config: SolverConfig | None = N
         else:
             direction = -g
 
-        lam = 1.0
+        lam, hidden_past = 1.0, _hidden_past(stats_fn, h, direction)
         while lam >= config.min_step:
-            h_try = h + lam * direction
-            stats_try = stats_fn(h_try)
-            if not _has_empty_cell(stats_try):
-                g_try = stats_try.cell_measures - nu
-                res_try = float(np.abs(g_try).max())
-                if res_try < residual:
-                    break
+            if lam <= hidden_past:
+                h_try = h + lam * direction
+                stats_try = stats_fn(h_try)
+                if not _has_empty_cell(stats_try):
+                    g_try = stats_try.cell_measures - nu
+                    res_try = float(np.abs(g_try).max())
+                    if res_try < residual:
+                        break
+                if stats_try is None:
+                    hidden_past = _hidden_past(stats_fn, h, direction)
             lam *= config.damping
         else:
             report.step_underflow = True

@@ -107,8 +107,14 @@ class TestConfig:
         ({"domain": {"kind": "polygon", "vertices": [[0, 0], "x"]}}, "domain.vertices"),
         ({"target": {**CLUSTER_TARGET, "per_cluster": 20.7}}, "target.per_cluster"),
         ({"target": {**DUMBBELL_TARGET, "count": True}}, "target.count"),
+        ({"domain": {"kind": "box", "bounds": [["-1", True], [-1, 1]]}}, "domain.bounds"),
+        ({"domain": {"kind": "disk", "center": [0, False], "radius": 1.0}}, "domain.center"),
+        ({"domain": {"kind": "polygon", "vertices": [[0, 0], [1, "0"], [0, 1]]}},
+         "domain.vertices"),
+        ({"target": {**CLUSTER_TARGET, "centers": [[-5, 0], [5, True]]}}, "target.centers"),
     ], ids=["k", "extent", "target-seed", "centers", "bounds", "center", "vertices",
-            "fractional-per-cluster", "bool-count"])
+            "fractional-per-cluster", "bool-count", "string-bool-bounds", "bool-center",
+            "string-vertex", "bool-centers"])
     def test_malformed_domain_or_target_names_field(self, tmp_path, capsys, overrides, field):
         path = write_config(tmp_path, **overrides)
         assert main(["solve", str(path)]) == 1
