@@ -20,7 +20,6 @@ from .geometry import (
     PolygonDomain,
     ball_domain,
     box_domain,
-    clip_halfplane,
     convex_hull_2d,
     disk_domain,
     load_target_csv,
@@ -28,7 +27,6 @@ from .geometry import (
     polygon_centroid,
     polygon_domain,
     sample_source,
-    segment_length,
     validate_target,
 )
 from .kantorovich import (

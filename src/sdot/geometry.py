@@ -3,9 +3,9 @@
 The continuous side of the transport problem lives here: convex compact
 domains carrying a uniform probability density, Monte Carlo sampling, and
 the polygon arithmetic the exact 2D cell computations are built on: the
-half-plane clip of one polygon, the ring dedupe and one shoelace pass for
-the moments of many polygons. Batched polygon code takes the rings laid end
-to end, one (m, 2) corner array, with their (n,) sizes.
+ring dedupe and one shoelace pass for the moments of many polygons. Batched
+polygon code takes the rings laid end to end, one (m, 2) corner array, with
+their (n,) sizes.
 """
 from __future__ import annotations
 
@@ -163,11 +163,6 @@ def _packed_moments(verts, sizes) -> np.ndarray:
     return out
 
 
-def segment_length(p, q) -> float:
-    """Euclidean length of the segment from p to q."""
-    return float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
-
-
 def _drop_repeats(verts, owner, n):
     """Drop each corner within DEGENERACY_TOL of its cyclic predecessor in its own ring.
 
@@ -186,34 +181,6 @@ def _drop_repeats(verts, owner, n):
     sizes = np.bincount(owner[keep], minlength=n)
     keep &= (sizes >= 3)[owner]
     return verts[keep], np.where(sizes < 3, 0, sizes)
-
-
-def clip_halfplane(poly: ConvexPolygon, a, b: float) -> ConvexPolygon:
-    """Intersect ``poly`` with the half-plane {x : <a,x> <= b}.
-
-    With s = <v, a> - b at each vertex v, the polygon comes back as it is
-    when every s <= 0 and empty when every s >= 0 (boundary-only contact
-    has no area). Otherwise it keeps the vertices with s <= 0 plus the
-    crossing p + t(q - p), t = sp/(sp - sq), of every edge pq whose ends
-    lie on opposite sides, in ring order, and drops repeated vertices with
-    :func:`_drop_repeats`; fewer than 3 left is the empty polygon.
-    """
-    verts = poly.vertices
-    s = verts @ np.asarray(a, dtype=float) - float(b)
-    if np.all(s <= 0.0):
-        return poly
-    if np.all(s >= 0.0):
-        return ConvexPolygon(np.zeros((0, 2)))
-    inside = s <= 0.0
-    kept = np.flatnonzero(inside)
-    edges = np.flatnonzero(inside != _cycled(inside))
-    ends = (edges + 1) % len(verts)
-    p, q, sp, sq = verts[edges], verts[ends], s[edges], s[ends]
-    crossings = p + (sp / (sp - sq))[:, None] * (q - p)
-    # edge k emits its start vertex if kept, then its crossing if any
-    slots = np.argsort(np.concatenate((2 * kept, 2 * edges + 1)))
-    ring = np.concatenate((verts[kept], crossings))[slots]
-    return ConvexPolygon(_drop_repeats(ring, np.zeros(len(ring), dtype=np.int64), 1)[0])
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:

@@ -49,8 +49,25 @@ from .geometry import (
 # add and the row reduction. Keep it a power of two, a multiple of any BLAS
 # row-tile height: blocks then start on tile boundaries, and a kernel that
 # rounds the rows of a partial tile differently cannot make a row's plane
-# values depend on the block size.
+# values depend on the block size. A 2-D ``assign_cell`` batch of at least
+# 51 200 finite rows bins its samples into certified tiles 16 blocks at a
+# time and sends only the rows no tile decides through these blocks. In a
+# certified tile one plane leads all others by more than any rounding, so
+# the dense argmax there is the tile's cell; ties, which no certified tile
+# holds, still go to the lowest index.
 _ASSIGN_CHUNK = 1024
+
+# Certified tiles for a 2-D ``assign_cell`` batch of N rows: a g x g grid over
+# the batch's bounding box, g = floor(sqrt(N / _TILE_ROWS)), so a tile holds
+# about _TILE_ROWS samples. Batches with g below _TILE_MIN (N < 51 200) take
+# the dense pass: the tiles of a small batch are large, a tile larger than a
+# cell is seldom certified, and the corners and the binning then cost more
+# than they save. Measured with one BLAS thread, tiles broke even near
+# N = 45 000 on the benchmark dumbbell (n = 110; 27 % of rows certified at
+# N = 32 768, 37 % at 51 200) and between 8 192 and 32 768 on boxes of 10
+# and 40 Voronoi cells.
+_TILE_ROWS = 32
+_TILE_MIN = 40
 
 # Relative threshold below which a shared facet is treated as empty.
 ADJACENCY_TOL = 1e-9
@@ -111,27 +128,55 @@ class BrenierPotential:
         """Index of the supporting plane attaining the envelope at x.
 
         Ties break to the lowest index, so boundary points are assigned
-        deterministically.
+        deterministically. A 2-D batch of at least ``_TILE_ROWS`` x
+        ``_TILE_MIN``^2 rows (51 200), all finite, goes through certified
+        tiles: a sample in a tile that one cell provably owns takes that
+        cell without a plane evaluation. In such a tile the cell's plane
+        leads every other by more than the rounding of any sample's plane
+        values (``_certified_tiles`` gives the proof), so the dense argmax
+        is that cell. Every other row goes through ``_reduce_planes``, so a
+        tie still goes to the lowest index. The result equals the dense
+        pass, ``_reduce_planes`` on the whole batch, index for index. Other
+        batches (another dimension, fewer rows, a NaN or infinite
+        coordinate) take the dense pass.
         """
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
             return int(np.argmax(self.plane_values(pts)))
+        grid = int(np.sqrt(len(pts) / _TILE_ROWS))
+        if pts.shape[1] == 2 and grid >= _TILE_MIN:
+            # the output comes first, so the tile table's temporaries are
+            # freed above it instead of leaving heap holes under it: about
+            # 5 MB less peak RSS on the benchmark's analyse-dumbbell run
+            idx = np.empty(len(pts), dtype=np.int64)
+            tiles = self._certified_tiles(pts, grid)
+            if tiles is not None:
+                return self._assign_tiled(pts, idx, *tiles)
+            del idx
         return self._reduce_planes(pts)
 
-    def _reduce_planes(self, pts: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
-        """Row-wise argmax of the plane values of an (N, d) batch.
+    def _reduce_planes(self, pts: np.ndarray, top: np.ndarray | None = None,
+                       gap: np.ndarray | None = None) -> np.ndarray:
+        """Row-wise argmax of the plane values of an (N, d) batch: the dense pass.
 
-        With ``top`` given, the row maxima are written into it in the same
-        pass, read at the argmax, so each equals the row's ``np.max``. The
-        batch goes through in blocks of ``_ASSIGN_CHUNK`` rows. Each block
-        is copied into the first d columns of a reused (rows, d + 1) buffer
-        whose last column is 1, and one matmul with the (d + 1, n) stack of
-        the target points and the heights gives its plane values in a
-        reused buffer, so no (N, n) array is formed and no separate height
-        pass runs. A lone last row joins the block before it: BLAS computes
-        a one-row product with its matrix-vector kernel, which rounds
-        differently (by up to 1.8e-15 on the dumbbell), so that row's values
-        would depend on the batch length.
+        Every plane is evaluated at every row, and ties go to the lowest
+        index (``np.argmax``). ``evaluate`` and the Monte Carlo stats always
+        take this pass, since they need the row maxima. ``assign_cell``
+        takes it for the rows its certified tiles leave open: on a
+        certified tile this pass would give the tile's cell, the unique
+        maximum of every row's computed values there. With ``top``
+        given, the row maxima are written into it in the same pass, read at
+        the argmax, so each equals the row's ``np.max``; with ``gap`` given,
+        the row maximum minus the largest other plane value (``inf`` for one
+        target). The batch goes through in blocks of ``_ASSIGN_CHUNK`` rows. Each block is copied
+        into the first d columns of a reused (rows, d + 1) buffer whose last
+        column is 1, and one matmul with the (d + 1, n) stack of the target
+        points and the heights gives its plane values in a reused buffer, so
+        no (N, n) array is formed and no separate height pass runs. A lone
+        last row joins the block before it: BLAS computes a one-row product
+        with its matrix-vector kernel, which rounds differently (by up to
+        1.8e-15 on the dumbbell), so that row's values would depend on the
+        batch length.
         """
         n_pts, d = pts.shape
         idx = np.empty(n_pts, dtype=np.int64)
@@ -145,14 +190,106 @@ class BrenierPotential:
             block[:, :d] = pts[start:stop]
             vals = np.matmul(block, planes, out=buf[:stop - start])
             best = np.argmax(vals, axis=1, out=idx[start:stop])
+            if top is None and gap is None:
+                continue
+            at_best = (np.arange(stop - start), best)
             if top is not None:
-                top[start:stop] = vals[np.arange(stop - start), best]
+                top[start:stop] = vals[at_best]
+            if gap is not None:
+                gap[start:stop] = vals[at_best]
+                vals[at_best] = -np.inf
+                gap[start:stop] -= vals.max(axis=1)
+        return idx
+
+    def _certified_tiles(self, pts: np.ndarray, grid: int):
+        """Certified tiles over a 2-D batch's bounding box; None if a coordinate is not finite.
+
+        Returns the box's lower corner, the tiles per unit length along each
+        axis and the (grid, grid) owner of each tile (x index first), -1
+        where no cell is certified. All n planes are evaluated once at the
+        (grid + 1)^2 corners. A tile is certified for cell j when j is the
+        argmax at its four corners with a gap (top minus second plane
+        value) above ``bound``. The gap of j, the least over k != j of the
+        difference of planes j and k, is a minimum of affine functions, so
+        it is concave and smallest on the tile at a corner. ``bound`` covers
+        the rounding of the corner values and of a sample's values in the
+        dense pass (a length-3 dot product errs by under 2 eps (|x| |y| +
+        |h|)), plus the gap's Lipschitz constant 2 max |y_k| times how far
+        rounded binning can put a sample outside its tile (under
+        8 eps (|lo| + |hi|) per axis). So in a certified tile every
+        sample's computed plane values have j as their unique maximum, and
+        the dense pass gives j. A tie anywhere in a tile makes the gap 0
+        there, so the tile is not certified.
+        """
+        # column by column: a reduction over axis 0 of an (N, 2) array is ~15x slower
+        lo = np.array([pts[:, k].min() for k in range(2)])
+        hi = np.array([pts[:, k].max() for k in range(2)])
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            return None
+        eps = np.finfo(float).eps
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        y = self.target.points
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            span = hi - lo
+            per_unit = np.where(span > 0, grid / span, 0.0)
+            # twice the largest |plane value| on the box, a bound on every gap
+            scale = 2 * np.max(np.abs(y) @ reach + np.abs(self.heights))
+            lipschitz = 2 * np.linalg.norm(y, axis=1).max()
+            bound = 8 * eps * (scale + lipschitz * np.hypot(*(np.abs(lo) + np.abs(hi))))
+        if not np.all(np.isfinite([*span, *per_unit, scale, bound])):
+            return None
+        axes = [np.linspace(lo[k], hi[k], grid + 1) for k in range(2)]
+        corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        gap = np.empty(len(corners))
+        best = self._reduce_planes(corners, gap=gap).reshape(grid + 1, grid + 1)
+        gap = gap.reshape(grid + 1, grid + 1)
+        owner = best[:-1, :-1]
+        same = (owner == best[1:, :-1]) & (owner == best[:-1, 1:]) & (owner == best[1:, 1:])
+        least = np.minimum.reduce([gap[:-1, :-1], gap[1:, :-1], gap[:-1, 1:], gap[1:, 1:]])
+        return lo, per_unit, np.where(same & (least > bound), owner, -1)
+
+    def _assign_tiled(self, pts: np.ndarray, idx: np.ndarray, lo, per_unit, owner) -> np.ndarray:
+        """``assign_cell`` of a 2-D batch through the tiles of ``_certified_tiles``, into ``idx``.
+
+        A sample in a certified tile takes the tile's owner without a plane
+        evaluation. The batch is binned 16 ``_ASSIGN_CHUNK`` blocks at a
+        time, so extra memory is one such stretch plus the tile table; the
+        rows of a stretch that no certified tile decides are gathered and go
+        through ``_reduce_planes``. A lone such row takes a neighbour along,
+        so BLAS computes it with the same matrix kernel as the dense pass.
+        """
+        n_pts, grid = len(pts), len(owner)
+        step = 16 * _ASSIGN_CHUNK
+        for start in range(0, n_pts, step):
+            stop = min(start + step, n_pts)
+            got = np.take(owner, _tile_index(pts[start:stop], lo, per_unit, grid),
+                          out=idx[start:stop])
+            miss = np.flatnonzero(got < 0) + start
+            if len(miss) == 1:
+                miss = np.array([miss[0], miss[0] - 1 if miss[0] else 1])
+            if len(miss):
+                idx[miss] = self._reduce_planes(pts[miss])
         return idx
 
     def transport_map(self, x):
         """Optimal map T(x) = y_{assign_cell(x)}."""
         idx = self.assign_cell(x)
         return self.target.points[idx]
+
+
+def _tile_index(pts: np.ndarray, lo, per_unit, grid: int) -> np.ndarray:
+    """Row-major tile of each row of a 2-D batch on the grid of ``_certified_tiles``.
+
+    Along each axis the tile is floor((x - lo) * per_unit), clamped to the
+    last tile. The columns go one at a time: the same arithmetic broadcast
+    over (rows, 2) runs about 5x slower.
+    """
+    cell = []
+    for k in range(2):
+        t = pts[:, k] - lo[k]
+        t *= per_unit[k]
+        cell.append(np.minimum(t.astype(np.intp), grid - 1))
+    return cell[0] * grid + cell[1]
 
 
 # an exact 2D diagram's points, heights, _lower_hull_edges triple and (n, 5) cell moments
@@ -422,10 +559,10 @@ def _cell_rings(owner, corners, n):
     """Each cell's corners in CCW order, laid end to end by cell, and the (n,) cell sizes.
 
     One lexsort by (cell, angle about the mean of the cell's corners) orders
-    every cell at once. As in :func:`~sdot.geometry.clip_halfplane`, a
-    corner within DEGENERACY_TOL * (1 + largest coordinate magnitude) of its
-    cyclic predecessor is dropped (:func:`~sdot.geometry._drop_repeats`),
-    and a cell left with fewer than 3 corners is empty (size 0).
+    every cell at once. A corner within DEGENERACY_TOL * (1 + largest
+    coordinate magnitude) of its cyclic predecessor is dropped
+    (:func:`~sdot.geometry._drop_repeats`), and a cell left with fewer than
+    3 corners is empty (size 0).
     """
     total = np.bincount(owner, minlength=n)
     mean = np.column_stack([np.bincount(owner, corners[:, 0], n),

@@ -2,8 +2,8 @@
 
 The oracle owns the scalar clipper: ``_clip_vertices`` clips one convex
 polygon against one half-plane with a loop over its edges, and
-``_cell_vertices`` chains it over one cell's targets. ``sdot`` clips one
-polygon in ``sdot.geometry.clip_halfplane``; nothing here imports it.
+``_cell_vertices`` chains it over one cell's targets. ``sdot`` has no
+half-plane clipper: its cells come from the triangle power centres.
 ``loop_drop_repeats`` runs the clipper's ``_dedupe_ring`` one ring at a
 time, where ``sdot.geometry._drop_repeats`` dedupes rings laid end to end
 in one pass.

@@ -12,136 +12,13 @@ from sdot.geometry import (
     MassMismatchError,
     NonpositiveWeightError,
     _drop_repeats,
-    clip_halfplane,
     load_target_csv,
     polygon_area,
     polygon_centroid,
-    segment_length,
 )
-from oracle import _cell_vertices, loop_drop_repeats
+from oracle import loop_drop_repeats
 
 UNIT_SQUARE = ConvexPolygon.from_vertices([(0, 0), (1, 0), (1, 1), (0, 1)])
-
-
-def random_convex_polygon(rng, k=8, scale=1.0):
-    """Convex CCW polygon from angle-sorted edge vectors summing to zero."""
-    vecs = rng.standard_normal((k, 2)) * scale
-    vecs -= vecs.mean(axis=0)
-    angles = np.arctan2(vecs[:, 1], vecs[:, 0])
-    vecs = vecs[np.argsort(angles)]
-    verts = np.cumsum(vecs, axis=0)
-    return ConvexPolygon.from_vertices(verts - verts.mean(axis=0))
-
-
-BASES = {
-    "box": sdot.box_domain([[-1.0, 1.0], [-1.0, 1.0]]).clip_polygon().vertices,
-    "disk": sdot.disk_domain([0.0, 0.0], 1.0).clip_polygon().vertices,
-    "pentagon": sdot.polygon_domain([(-1.0, -0.875), (0.75, -1.0), (1.0, 0.625),
-                                     (0.125, 1.0), (-0.875, 0.75)]).polygon.vertices,
-}
-DYADIC = st.integers(-16, 16).map(lambda k: k / 8.0)
-# offsets that put a line just off a vertex: some crossings land within the
-# dedupe tolerance of the vertex, some just outside it
-NUDGES = st.sampled_from([0.0, 1e-16, 1e-15, 1e-13, 1e-12, 3e-12, 1e-9])
-
-
-@st.composite
-def halfplanes(draw, base):
-    """(a, b) of a half-plane <a, x> <= b: an arbitrary offset, or a line
-    through (or nudged off) a base vertex, which cuts, misses or only
-    touches the polygon depending on the direction of a."""
-    a = np.array([draw(DYADIC), draw(DYADIC)])
-    if draw(st.booleans()):
-        return a, 2.0 * draw(DYADIC)
-    vertex = base[draw(st.integers(0, len(base) - 1))]
-    return a, float(vertex @ a) + draw(st.sampled_from([-1.0, 1.0])) * draw(NUDGES)
-
-
-@st.composite
-def clip_problems(draw):
-    """A base polygon, a pool of half-planes and rows of pool indices.
-
-    Row r is site r at the origin with height 0; pool half-plane (a, b) is
-    site ``rows + k`` at ``a`` with height ``-b``, so row r clips against
-    <x, a - 0> <= 0 - (-b), exactly the drawn half-plane.
-    """
-    base = BASES[draw(st.sampled_from(sorted(BASES)))]
-    pool = draw(st.lists(halfplanes(base), min_size=1, max_size=8))
-    rows = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=7),
-                         min_size=1, max_size=6))
-    points = np.vstack([np.zeros((len(rows), 2)), [a for a, _ in pool]])
-    heights = np.concatenate([np.zeros(len(rows)), [-b for _, b in pool]])
-    candidates = [np.asarray(row, dtype=np.int64) + len(rows) for row in rows]
-    return base, points, heights, candidates
-
-
-class TestClipping:
-    def test_axis_cut(self):
-        half = clip_halfplane(UNIT_SQUARE, (1.0, 0.0), 0.5)
-        assert polygon_area(half) == pytest.approx(0.5, abs=1e-12)
-        assert np.all(half.vertices[:, 0] <= 0.5 + 1e-9)
-
-    def test_redundant_constraint(self):
-        same = clip_halfplane(UNIT_SQUARE, (1.0, 0.0), 2.0)
-        assert polygon_area(same) == pytest.approx(1.0, abs=1e-12)
-
-    def test_infeasible(self):
-        empty = clip_halfplane(UNIT_SQUARE, (1.0, 0.0), -1.0)
-        assert empty.is_empty
-        assert polygon_area(empty) == 0.0
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_area_splits_exactly(self, seed):
-        rng = np.random.default_rng(seed)
-        poly = random_convex_polygon(rng)
-        a = rng.standard_normal(2)
-        b = float(rng.standard_normal())
-        left = clip_halfplane(poly, a, b)
-        right = clip_halfplane(poly, -a, -b)
-        assert polygon_area(left) + polygon_area(right) == pytest.approx(
-            polygon_area(poly), abs=1e-9)
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_output_satisfies_constraint_and_is_convex(self, seed):
-        rng = np.random.default_rng(seed)
-        poly = random_convex_polygon(rng)
-        a = rng.standard_normal(2)
-        b = float(rng.standard_normal())
-        out = clip_halfplane(poly, a, b)
-        if out.is_empty:
-            return
-        assert np.all(out.vertices @ a <= b + 1e-9)
-        # convex CCW: no negative turns
-        v = out.vertices
-        e = np.roll(v, -1, axis=0) - v
-        en = np.roll(e, -1, axis=0)
-        cross = e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0]
-        assert np.all(cross >= -1e-9)
-
-    @given(clip_problems())
-    @settings(max_examples=300, deadline=None)
-    def test_chained_clips_match_scalar_chain(self, problem):
-        """Chained clips of each row match ``oracle._cell_vertices``: same
-        vertex count (so the same empty cells) and vertices within 1e-14.
-        Coordinates are dyadic on the box and the pentagon, so a half-plane
-        drawn through a vertex meets it with s == 0 exactly there."""
-        base, points, heights, candidates = problem
-        for r, row in enumerate(candidates):
-            poly = ConvexPolygon(base)
-            for j in row:
-                poly = clip_halfplane(poly, points[j] - points[r], heights[r] - heights[j])
-            want = _cell_vertices(base, points, heights, r, row)
-            assert len(poly.vertices) == len(want)
-            assert np.abs(poly.vertices - want).max(initial=0.0) <= 1e-14
-
-    def test_boundary_only_contact_empties_and_touching_line_skips(self):
-        box = ConvexPolygon(BASES["box"])
-        # lines through the corner (1, 1): the box lies on the far side of the
-        # first (boundary-only contact), on the kept side of the second
-        assert clip_halfplane(box, (-1.0, -1.0), -2.0).is_empty
-        assert clip_halfplane(box, (1.0, 1.0), 2.0) is box
 
 
 def planted(ring, k, factor, axis=(1.0, 0.0)):
@@ -221,9 +98,6 @@ class TestPolygonPrimitives:
 
     def test_square_centroid(self):
         assert polygon_centroid(UNIT_SQUARE) == pytest.approx([0.5, 0.5])
-
-    def test_segment_length(self):
-        assert segment_length((0, 0), (3, 4)) == pytest.approx(5.0)
 
     def test_cw_polygon_rejected(self):
         with pytest.raises(GeometryError):

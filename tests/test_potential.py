@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sdot
 from sdot.geometry import DimensionUnsupportedError
 from sdot.potential import (
     _ASSIGN_CHUNK,
+    _TILE_MIN,
+    _TILE_ROWS,
+    _tile_index,
     BrenierPotential,
     PowerCellStats,
     exact_cell_stats_2d,
@@ -139,6 +146,137 @@ class TestBatchedEvaluation:
             pair = batch[-2:]
             assert pot.evaluate(batch)[-1] == pot.evaluate(pair)[-1]
             assert pot.assign_cell(batch)[-1] == pot.assign_cell(pair)[-1]
+
+
+# the smallest batch that goes through certified tiles: a _TILE_MIN-square grid
+TILE_FLOOR = _TILE_ROWS * _TILE_MIN ** 2
+BOX = sdot.box_domain([[-1.0, 1.0], [-1.0, 1.0]])
+
+
+@st.composite
+def tiled_batches(draw):
+    """A power diagram on [-1, 1]^2 and TILE_FLOOR samples planted where a tile
+    certificate could go wrong: on facets (from ``facet_segments``) and at
+    their ends, exactly on tile corners and tile edges (the bounding box and
+    the grid lines), and as duplicate rows; ``flat`` gives the batch zero
+    width in one axis (where it may run along a facet, so that no tile is
+    certified). ``dyadic`` diagrams are Voronoi on 1/8-grid targets
+    with 1/512-grid samples: every plane value is exact, and facet samples
+    on the bisector through the two targets' midpoint tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    dyadic, flat = draw(st.booleans()), draw(st.sampled_from([None, 0, 1]))
+    if dyadic:
+        sites = np.array([(x, y) for x in range(-8, 9) for y in range(-8, 9)]) / 8.0
+        points = sites[rng.choice(len(sites), size=n, replace=False)]
+        heights = -0.5 * np.sum(points ** 2, axis=1)
+        samples = rng.integers(-512, 513, size=(TILE_FLOOR, 2)) / 512.0
+    else:
+        points = rng.uniform(-1.0, 1.0, size=(n, 2))
+        heights = -0.5 * np.sum(points ** 2, axis=1) + rng.normal(0.0, 0.05, n)
+        samples = rng.uniform(-1.0, 1.0, size=(TILE_FLOOR, 2))
+    pot = BrenierPotential(sdot.validate_target(points), heights)
+    stats = exact_cell_stats_2d(pot, BOX)
+    pairs, segs = stats.facet_pairs, stats.facet_segments
+    assume(len(pairs))  # noisy heights can hide all but one target
+    k = TILE_FLOOR // 8  # rows per kind of planted sample
+    slots = iter(np.split(rng.permutation(TILE_FLOOR), [k, 2 * k, 3 * k, 4 * k]))
+    pick = rng.integers(len(pairs), size=k)
+    t = rng.uniform(size=(k, 1))
+    if dyadic:
+        # along the bisector from the midpoint, in 1/64 steps of perp(y_i - y_j)
+        i, j = pairs[pick].T
+        mid, perp = (points[i] + points[j]) / 2, (points[i] - points[j]) @ [[0, 1], [-1, 0]]
+        ends = np.einsum("kej,kj->ke", segs[pick] - mid[:, None], perp)
+        ends /= np.sum(perp ** 2, axis=1)[:, None]
+        steps = np.round((ends[:, :1] + t * (ends[:, 1:] - ends[:, :1])) * 64) / 64
+        samples[next(slots)] = mid + steps * perp
+    else:
+        samples[next(slots)] = segs[pick, 0] + t * (segs[pick, 1] - segs[pick, 0])
+    samples[next(slots)[:2 * len(segs)]] = segs.reshape(-1, 2)
+    if flat is not None:
+        samples[:, flat] = samples[0, flat]
+    axes = [np.linspace(samples[:, k].min(), samples[:, k].max(), _TILE_MIN + 1) for k in range(2)]
+    corner, edge = next(slots), next(slots)
+    samples[corner] = np.column_stack([rng.choice(a, len(corner)) for a in axes])
+    samples[edge, 0] = rng.choice(axes[0], len(edge))
+    samples[edge[::2], 1] = rng.choice(axes[1], len(edge[::2]))
+    samples[next(slots)[:k]] = samples[rng.integers(TILE_FLOOR, size=k)]
+    return pot, samples, dyadic, flat is not None
+
+
+class TestCertifiedTiles:
+    @given(tiled_batches())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_dense_pass(self, case):
+        pot, samples, dyadic, flat = case
+        idx = pot.assign_cell(samples)
+        assert np.array_equal(idx, pot._reduce_planes(samples))
+        if flat:
+            return
+        lo, per_unit, owner = pot._certified_tiles(samples, _TILE_MIN)
+        decided = np.take(owner, _tile_index(samples, lo, per_unit, _TILE_MIN)) >= 0
+        assert decided.any() and not decided.all()
+        if dyadic:
+            gap = np.empty(len(samples))
+            pot._reduce_planes(samples, gap=gap)
+            assert np.any(gap == 0.0)
+
+    def test_batch_along_a_facet(self):
+        # two planes that tie on the line x = c up to rounding: the dense pass
+        # splits the line between them, so no tile on it may be certified
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            c = rng.uniform(-0.5, 0.5)
+            pot = BrenierPotential(sdot.validate_target([(0.3, 0.7), (-0.1, 0.7)]),
+                                   np.array([0.1, 0.1 + 0.4 * c]))
+            samples = np.column_stack([np.full(TILE_FLOOR, c),
+                                       rng.uniform(-1.0, 1.0, TILE_FLOOR)])
+            dense = pot._reduce_planes(samples)
+            assert np.all(np.bincount(dense) > 0)
+            assert np.array_equal(pot.assign_cell(samples), dense)
+
+    @pytest.mark.parametrize("case", ["3d", "below_floor", "nan_row", "infinite_row", "evaluate"])
+    def test_dense_pass_only(self, case, monkeypatch):
+        # as before the tiles, and with no RuntimeWarning (an error under pytest)
+        def no_tiles(*args):
+            raise AssertionError("certified tiles used")
+
+        monkeypatch.setattr(BrenierPotential, "_assign_tiled", no_tiles)
+        rng = np.random.default_rng(7)
+        d = 3 if case == "3d" else 2
+        rows = TILE_FLOOR - 1 if case == "below_floor" else TILE_FLOOR
+        pot = BrenierPotential(sdot.validate_target(rng.uniform(0.1, 1.0, size=(20, d))),
+                               rng.standard_normal(20))
+        samples = rng.uniform(-1.0, 1.0, size=(rows, d))
+        if case == "nan_row":
+            samples[100, 1] = np.nan
+        if case == "infinite_row":
+            samples[9] = (np.inf, 0.5)
+        if case == "evaluate":
+            top = np.empty(rows)
+            pot._reduce_planes(samples, top)
+            assert np.array_equal(pot.evaluate(samples), top)
+        else:
+            assert np.array_equal(pot.assign_cell(samples), pot._reduce_planes(samples))
+
+    def test_memory_within_2mb_of_dense_pass(self):
+        rng = np.random.default_rng(6)
+        points = rng.uniform(-1.0, 1.0, size=(60, 2))
+        pot = BrenierPotential(sdot.validate_target(points), -0.5 * np.sum(points ** 2, axis=1))
+        samples = rng.uniform(-1.0, 1.0, size=(10**6, 2))
+        peaks, out = [], []
+        for run in (pot._reduce_planes, pot.assign_cell):
+            tracemalloc.start()
+            try:
+                out.append(run(samples))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(*out)
+        assert peaks[1] <= peaks[0] + 2 * 2**20
+        grid = int(np.sqrt(len(samples) / _TILE_ROWS))
+        assert np.any(pot._certified_tiles(samples, grid)[2] >= 0)
 
 
 class TestExactStats:
